@@ -27,6 +27,13 @@
 //!   machine-normalized.
 //! * `--smoke`      — only the small fixed case (CI `bench-smoke`).
 //!
+//! Every measuring run also applies the **crossover gates**, whose figures
+//! are again same-run ratios: under the default adaptive chunking (the
+//! serial/parallel crossover) the native kernel at any thread count must
+//! reach at least 0.9× its 1-thread cells/sec on every case — threads may
+//! not make a table slower — and, on a host with at least 2 cores, the
+//! largest case at 2 threads must reach 1.3× its 1-thread rate.
+//!
 //! Every timed sweep is first checked bit-identical against the serial
 //! generic engine on the same rounded problem.
 
@@ -46,6 +53,20 @@ const THREAD_COUNTS: &[usize] = &[1, 2, 4];
 
 /// Regression tolerance on the native/scalar speedup ratio.
 const TOLERANCE: f64 = 0.25;
+
+/// Crossover gate: native@T ≥ this × native@1T on every case.
+const NEVER_SLOWER: f64 = 0.9;
+
+/// Crossover gate: the big case at 2 threads ≥ this × its 1-thread rate.
+const BIG_CASE_2T: f64 = 1.3;
+
+/// The case the 2-thread scaling gate applies to (the paper's largest).
+const BIG_CASE: &str = "u100-m30-n90-eps0.3";
+
+/// Interleaved rounds (1T, 2T, 4T, 1T, …) of the native column: a burst of
+/// host load then hits every thread count alike, so the per-round ratios
+/// the crossover gates use stay comparable.
+const NATIVE_ROUNDS: usize = 5;
 
 struct Case {
     name: &'static str,
@@ -96,6 +117,9 @@ struct Column {
     scalar_cps: f64,
     lane_cps: f64,
     native_cps: f64,
+    /// Median over the interleaved native rounds of this thread count's
+    /// cells/sec over the same round's 1-thread cells/sec.
+    native_vs_1t: f64,
 }
 
 struct Measurement {
@@ -130,6 +154,7 @@ impl Measurement {
                                 ("scalar_cells_per_sec", Value::Float(c.scalar_cps)),
                                 ("lane_cells_per_sec", Value::Float(c.lane_cps)),
                                 ("native_cells_per_sec", Value::Float(c.native_cps)),
+                                ("native_vs_1t", Value::Float(c.native_vs_1t)),
                             ])
                         })
                         .collect(),
@@ -185,39 +210,52 @@ fn measure(case: &Case, min_secs: f64) -> Measurement {
             "{}: {kernel:?} kernel diverged from the serial engine",
             case.name
         );
-        // Best-of-3: the min per-run time filters scheduler noise, which
-        // matters for the ratio gate far more than absolute accuracy does.
-        let secs = (0..3)
-            .map(|_| {
-                time_stable(min_secs, || {
-                    table.values[0] = 0;
-                    bucketed_sweep_space_with(
-                        &mut table,
-                        &space,
-                        threads,
-                        &mut scratch,
-                        kernel,
-                        Chunking::default(),
-                    );
-                })
-            })
-            .fold(f64::INFINITY, f64::min);
+        let secs = time_stable(min_secs, || {
+            table.values[0] = 0;
+            bucketed_sweep_space_with(
+                &mut table,
+                &space,
+                threads,
+                &mut scratch,
+                kernel,
+                Chunking::default(),
+            );
+        });
         cells as f64 / secs
+    };
+    // Best-of-3: the max rate filters scheduler noise, which matters for
+    // the ratio gate far more than absolute accuracy does.
+    let mut best_of_3 = |threads: usize, kernel: CellKernel| -> f64 {
+        (0..3).map(|_| sweep(threads, kernel)).fold(0.0, f64::max)
     };
 
     let mut columns = Vec::new();
     for &threads in THREAD_COUNTS {
-        let scalar_cps = sweep(threads, CellKernel::Scalar);
+        let scalar_cps = best_of_3(threads, CellKernel::Scalar);
         simd::force_portable(true);
-        let lane_cps = sweep(threads, CellKernel::Strip);
+        let lane_cps = best_of_3(threads, CellKernel::Strip);
         simd::force_portable(false);
-        let native_cps = sweep(threads, CellKernel::Strip);
         columns.push(Column {
             threads,
             scalar_cps,
             lane_cps,
-            native_cps,
+            native_cps: 0.0,
+            native_vs_1t: 1.0,
         });
+    }
+    let rounds: Vec<Vec<f64>> = (0..NATIVE_ROUNDS)
+        .map(|_| {
+            THREAD_COUNTS
+                .iter()
+                .map(|&threads| sweep(threads, CellKernel::Strip))
+                .collect()
+        })
+        .collect();
+    for (i, column) in columns.iter_mut().enumerate() {
+        column.native_cps = rounds.iter().map(|r| r[i]).fold(0.0, f64::max);
+        let mut ratios: Vec<f64> = rounds.iter().map(|r| r[i] / r[0]).collect();
+        ratios.sort_by(f64::total_cmp);
+        column.native_vs_1t = ratios[ratios.len() / 2];
     }
 
     Measurement {
@@ -264,6 +302,43 @@ fn check_against(baseline: &Value, current: &[Measurement]) -> Result<(), String
         return Err("no case overlapped with the baseline — gate is vacuous".to_string());
     }
     Ok(())
+}
+
+/// The crossover gates (see the module docs), over same-run ratios.
+fn crossover_gates(results: &[Measurement], cores: usize) -> Result<(), String> {
+    let mut failures = Vec::new();
+    for m in results {
+        for c in &m.columns[1..] {
+            let ratio = c.native_vs_1t;
+            println!(
+                "gate {:<26} native {}T/1T x{ratio:.2}  floor x{NEVER_SLOWER:.2}",
+                m.name, c.threads
+            );
+            if ratio < NEVER_SLOWER {
+                failures.push(format!(
+                    "{} at {} threads runs at x{ratio:.2} of 1 thread",
+                    m.name, c.threads
+                ));
+            }
+        }
+        if m.name == BIG_CASE && cores >= 2 {
+            if let Some(c) = m.columns.iter().find(|c| c.threads == 2) {
+                let ratio = c.native_vs_1t;
+                println!(
+                    "gate {:<26} native 2T/1T x{ratio:.2}  floor x{BIG_CASE_2T:.2}",
+                    m.name
+                );
+                if ratio < BIG_CASE_2T {
+                    failures.push(format!("{} scales only x{ratio:.2} at 2 threads", m.name));
+                }
+            }
+        }
+    }
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures.join("; "))
+    }
 }
 
 fn main() -> ExitCode {
@@ -326,6 +401,8 @@ fn main() -> ExitCode {
             ("bench", Value::Str("kernel".to_string())),
             ("isa", Value::Str(simd::kernel_isa().to_string())),
             ("tolerance", Value::Float(TOLERANCE)),
+            ("never_slower_floor", Value::Float(NEVER_SLOWER)),
+            ("big_case_2t_floor", Value::Float(BIG_CASE_2T)),
             (
                 "cases",
                 Value::Array(results.iter().map(Measurement::to_json).collect()),
@@ -333,6 +410,15 @@ fn main() -> ExitCode {
         ]);
         std::fs::write(&path, doc.to_string_pretty()).expect("write json");
         println!("wrote {path}");
+    }
+
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    match crossover_gates(&results, cores) {
+        Ok(()) => println!("crossover gates: OK ({cores} cores)"),
+        Err(msg) => {
+            eprintln!("crossover gates FAILED: {msg}");
+            return ExitCode::FAILURE;
+        }
     }
 
     if let Some(path) = check_path {

@@ -207,11 +207,18 @@ pub fn from_str<T: FromJson>(text: &str) -> Result<T> {
     T::from_json(&parse(text)?)
 }
 
-/// Parses JSON text into a [`Value`] tree.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a cap one frame of `[`s overflows the stack
+/// of whatever thread parses it; no document this crate writes comes
+/// close.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses JSON text into a [`Value`] tree. Nesting deeper than
+/// [`MAX_DEPTH`] is malformed input like any other.
 pub fn parse(text: &str) -> Result<Value> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(bad(format!("trailing characters at byte {pos}")));
@@ -238,10 +245,15 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<()> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value> {
+/// Parses one value; `depth` is how many more arrays/objects may open.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(bad("unexpected end of input")),
+        Some(b'{' | b'[') if depth == 0 => Err(bad(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        ))),
         Some(b'{') => {
             *pos += 1;
             let mut members = Vec::new();
@@ -255,7 +267,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth - 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -277,7 +289,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth - 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -459,6 +471,23 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("12 34").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        // One 100 KB frame of `[` used to recurse until the stack overflowed
+        // and took the whole process down.
+        let err = parse(&"[".repeat(100_000)).expect_err("too deep");
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        let deep = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(parse(&deep(MAX_DEPTH + 1)).is_err());
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
     }
 
     #[test]

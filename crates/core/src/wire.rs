@@ -405,6 +405,19 @@ pub fn write_frame(w: &mut impl Write, v: &Value) -> io::Result<()> {
 /// boundary; mid-frame EOF, oversized frames, and malformed payloads are
 /// `InvalidData` errors.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Value>> {
+    let Some(payload) = read_payload(r)? else {
+        return Ok(None);
+    };
+    parse_payload(payload)
+        .map(Some)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+}
+
+/// Reads one frame's payload without parsing it, so a reader can answer a
+/// malformed payload and carry on with the next frame: only framing
+/// failures (mid-frame EOF, oversized frames) are errors here. `Ok(None)`
+/// on a clean EOF at a frame boundary.
+pub fn read_payload(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
     match r.read_exact(&mut len) {
         Ok(()) => {}
@@ -420,11 +433,13 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Value>> {
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
-    let text = String::from_utf8(payload)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("wire: {e}")))?;
+    Ok(Some(payload))
+}
+
+/// Parses a frame payload: UTF-8, then one JSON document.
+pub fn parse_payload(payload: Vec<u8>) -> Result<Value> {
+    let text = String::from_utf8(payload).map_err(|e| bad(e.to_string()))?;
     json::parse(&text)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
 #[cfg(test)]

@@ -31,9 +31,8 @@
 //! **Running solvers** goes through the submission-based [`session`] layer:
 //! [`Engine::submit`] takes a [`Submission`] (registry name + owned
 //! instance + composable observers) and returns a [`SolveHandle`] with
-//! `poll`/`wait`/`cancel`. The legacy one-shot entry points
-//! [`solve_traced`] and [`solve_metered`] are deprecated wrappers kept for
-//! one release.
+//! `poll`/`wait`/`cancel`; it meters every solve and takes a trace sink
+//! as an observer.
 
 pub mod cache;
 pub mod session;
@@ -42,7 +41,7 @@ pub use cache::ProfileMemo;
 pub use session::{Engine, EngineConfig, EngineTotals, SolveHandle, SolvePoll, Submission};
 
 use pcmax_baselines::{Lpt, Ls, LsOnline, Multifit, SpeedLpt};
-use pcmax_core::{Error, Result, SolveReport, SolveRequest, Solver};
+use pcmax_core::{Error, Result, SolveReport, Solver};
 use pcmax_exact::BranchAndBound;
 use pcmax_fptas::FixedMachinesFptas;
 use pcmax_metrics::{family, Family, Gauge, Histogram};
@@ -346,36 +345,6 @@ pub fn names() -> Vec<&'static str> {
     REGISTRY.iter().map(|s| s.name).collect()
 }
 
-/// Runs `solver` on `req` with the in-tree trace runtime attached and
-/// returns the report together with the merged per-thread timeline.
-///
-/// The trace session is process-global (one active at a time): the request
-/// gets a [`pcmax_trace::GlobalSink`] so solver-level `req.trace_span`
-/// emissions and the deep wavefront hooks (per-level spans, worker chunk
-/// spans, park/wake instants) all land in the same timeline. A second
-/// concurrent call fails with [`Error::BadModel`] instead of silently
-/// interleaving two solves into one trace.
-#[deprecated(
-    note = "submit through `session::Engine` with a `pcmax_trace::GlobalSink` \
-            observer (start the `pcmax_trace::Session` around the submission)"
-)]
-pub fn solve_traced(
-    solver: &dyn Solver,
-    req: &SolveRequest<'_>,
-) -> Result<(SolveReport, pcmax_trace::Timeline)> {
-    let session = pcmax_trace::Session::start().ok_or_else(|| {
-        Error::BadModel("trace: a trace session is already active in this process".into())
-    })?;
-    let mut traced = req.clone();
-    traced.trace = Some(std::sync::Arc::new(pcmax_trace::GlobalSink));
-    match solver.solve(&traced) {
-        Ok(report) => Ok((report, session.finish())),
-        // Dropping the session disables tracing and clears the rings, so a
-        // failed solve does not wedge the process-global runtime.
-        Err(e) => Err(e),
-    }
-}
-
 /// Per-solver solve latency, in nanoseconds.
 static SOLVE_LATENCY_NANOS: Family<Histogram> = family(
     "pcmax_solve_latency_nanos",
@@ -401,8 +370,8 @@ static DP_CELLS_PER_SEC: Family<Gauge> = family(
     "solver",
 );
 
-/// Outcome-class label for a solve result, shared by [`solve_metered`] and
-/// the scoreboard.
+/// Outcome-class label for a solve result, shared by the session engine's
+/// metering and the scoreboard.
 pub fn outcome_label(result: &Result<SolveReport>) -> &'static str {
     match result {
         Ok(_) => "ok",
@@ -413,27 +382,10 @@ pub fn outcome_label(result: &Result<SolveReport>) -> &'static str {
     }
 }
 
-/// Runs `solver` on `req` and aggregates the solve into the process-wide
-/// metrics registry under `name` (a registry primary name): latency
-/// histogram, outcome counter, and — when the solve reports a DP phase —
-/// the cells/sec gauge. The report itself is returned unchanged, so
-/// metering composes with any caller (results are bit-identical with
-/// metrics enabled, disabled, or absent; a pinned test asserts it).
-#[deprecated(note = "submit through `session::Engine`, which meters every solve")]
-pub fn solve_metered(
-    name: &str,
-    solver: &dyn Solver,
-    req: &SolveRequest<'_>,
-) -> Result<SolveReport> {
-    let start = std::time::Instant::now();
-    let result = solver.solve(req);
-    record_metered(name, start, &result);
-    result
-}
-
-/// Shared metering tail of the session engine and the deprecated
-/// [`solve_metered`] wrapper: aggregates one finished solve (started at
-/// `start`) into the process-wide registry under `name`.
+/// The session engine's metering tail: aggregates one finished solve
+/// (started at `start`) into the process-wide registry under `name` —
+/// latency histogram, outcome counter, and, when the solve reports a DP
+/// phase, the cells/sec gauge.
 pub(crate) fn record_metered(name: &str, start: std::time::Instant, result: &Result<SolveReport>) {
     SOLVE_LATENCY_NANOS
         .with_label(name)

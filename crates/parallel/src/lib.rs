@@ -6,21 +6,28 @@
 //! job-count vectors have equal digit sums) are mutually independent and
 //! depend only on strictly lower anti-diagonals, so each anti-diagonal is a
 //! parallel level and levels are processed in order with a barrier between
-//! them. Three interchangeable executors are provided, all built on scoped
-//! std threads (see [`pool`]):
+//! them. The executors:
 //!
-//! * [`ParallelDp`] (bucketed levels) — the production variant: level index
-//!   buckets are precomputed once, then each level is a chunked parallel map
-//!   over its bucket followed by a sequential scatter (writes are disjoint;
-//!   reads touch lower levels only),
+//! * [`ParallelDp`] with [`LevelStrategy::Bucketed`] — the production
+//!   executor ([`wavefront`]): a level-major table whose levels are
+//!   contiguous slices, written **in place** by a [`persistent`] worker
+//!   pool that is spawned once per sweep and parked between levels, with
+//!   the lane-parallel strip kernel ([`simd`]). Under the default
+//!   [`Chunking::Adaptive`] the leader releases a level to the pool only
+//!   when its measured cost model says sharing beats the handoff; smaller
+//!   levels run inline on the calling thread, and a table with no such
+//!   level spawns no pool thread at all.
 //! * [`ParallelDp`] with [`LevelStrategy::Faithful`] — the paper-literal
 //!   variant: every level scans *all* σ entries and filters `d_i = l`,
-//!   exactly like Lines 11–12 of Algorithm 3 (an ablation bench quantifies
-//!   the cost of that extra scan),
-//! * [`ScopedDp`] (static round-robin) — the closest analogue of the paper's
-//!   OpenMP static schedule.
+//!   exactly like Lines 11–12 of Algorithm 3, on scoped threads ([`pool`]);
+//!   an ablation bench quantifies the cost of that extra scan.
+//! * [`ParallelDp`] with [`LevelStrategy::SpawnPerLevel`] — the previous
+//!   production executor (thread spawn/join per level, sequential
+//!   scatter), kept as the `wavefront` micro-benchmark's baseline.
+//! * [`ScopedDp`] (static round-robin) — the closest analogue of the
+//!   paper's OpenMP static schedule.
 //!
-//! All three produce bit-identical tables to the sequential solvers; the
+//! All of them produce bit-identical tables to the sequential solvers; the
 //! tests assert it.
 //!
 //! Shared-memory accesses (fork/join handoffs, the table scatter/gather)

@@ -12,15 +12,17 @@
 //! spawn-per-level executor survives as [`LevelStrategy::SpawnPerLevel`] —
 //! the baseline the `wavefront` micro-benchmark measures speedup against.
 
-use crate::{persistent, pool, simd, sync};
+use crate::persistent::{self, Level};
+use crate::{pool, simd, sync};
 use pcmax_ptas::config::Config;
 use pcmax_ptas::dp::{finish, fits, DpOutcome, DpProblem, DpSolver};
 use pcmax_ptas::space::{PcmaxSpace, SpaceEngine, StateSpace};
 use pcmax_ptas::table::{
-    decode_into, next_in_level, strip_digits, DpScratch, DpTable, KernelScratch, INFEASIBLE,
-    STRIP_LANES,
+    decode_into, next_in_level, strip_digits, DpScratch, DpTable, KernelScratch, LevelLayout,
+    INFEASIBLE, STRIP_LANES,
 };
 use std::cell::UnsafeCell;
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How the bucketed sweep computes the cells of one worker chunk.
@@ -41,13 +43,25 @@ pub enum CellKernel {
 /// How the bucketed sweep splits a level slice across workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Chunking {
-    /// Per-level proportional split driven by each worker's measured
-    /// throughput on the previous level (see [`ChunkPlanner`]). Pinned to
-    /// `Static` under `feature = "audit"` so schedule replay and DPOR
-    /// enumeration stay deterministic.
+    /// Pool only the levels that pay for it, and split those by measured
+    /// worker speed.
+    ///
+    /// * **Serial/parallel crossover** (see [`Crossover`]): the leader
+    ///   releases a level to the pool only when its predicted work ×
+    ///   (1 − 1/n) exceeds the measured handoff cost; smaller levels run
+    ///   inline on the calling thread with the workers parked. When no
+    ///   level of a table clears the cut, no pool thread is spawned at all,
+    ///   so a small table never runs slower than on one thread.
+    /// * **Proportional split** of each pooled level, driven by each
+    ///   worker's measured throughput on the previous pooled levels (see
+    ///   [`ChunkPlanner`]).
+    ///
+    /// Pinned to `Static` under `feature = "audit"` so schedule replay and
+    /// DPOR enumeration stay deterministic.
     #[default]
     Adaptive,
-    /// The fixed `len.div_ceil(n)` split of the pre-autotuner executor.
+    /// Every level pooled, with the fixed `len.div_ceil(n)` split of the
+    /// pre-autotuner executor.
     Static,
 }
 
@@ -236,6 +250,10 @@ fn shared_cells(values: &mut [u16]) -> &[SyncCell] {
 /// Every worker therefore snapshots the same sealed values and derives the
 /// same boundaries.
 ///
+/// Only pooled levels are planned or measured: an inline level is the
+/// leader's alone (`0..len`), and its timing says nothing about how the
+/// workers compare, so recording it would skew the next pooled split.
+///
 /// Under `feature = "audit"` the tuner is pinned off (static split):
 /// timing-driven boundaries would make per-thread op sequences differ
 /// between a recorded schedule and its replay, breaking the exploration
@@ -268,12 +286,15 @@ impl ChunkPlanner {
     /// Worker `w`'s half-open cell range within a level of `len` cells.
     /// Interior boundaries are aligned down to whole strips so only the
     /// level's last strip can be ragged under the strip kernel.
-    fn bounds(&self, w: usize, level: u32, len: usize) -> (usize, usize) {
+    fn bounds(&self, w: usize, level: Level, len: usize) -> (usize, usize) {
+        if !level.pooled {
+            return (0, len);
+        }
         if !self.adaptive {
             let chunk = len.div_ceil(self.n);
             return ((w * chunk).min(len), ((w + 1) * chunk).min(len));
         }
-        let read = (level as usize % 2) * self.n;
+        let read = (level.index as usize % 2) * self.n;
         let mut total = 0u128;
         for slot in &self.speeds[read..read + self.n] {
             // SeqCst is off the hot path (n loads per worker per level) and
@@ -299,15 +320,15 @@ impl ChunkPlanner {
         unreachable!("worker {w} out of range for a {}-worker planner", self.n)
     }
 
-    /// Publishes worker `w`'s measured level-`level` throughput into the
-    /// buffer that plans level `level + 1` (see the type docs for why this
-    /// never races with [`bounds`]).
-    fn record(&self, w: usize, level: u32, cells: usize, nanos: u64) {
-        if !self.adaptive || cells == 0 {
+    /// Publishes worker `w`'s measured throughput on a pooled level into
+    /// the buffer that plans the next level (see the type docs for why this
+    /// never races with [`bounds`]). Inline levels are not recorded.
+    fn record(&self, w: usize, level: Level, cells: usize, nanos: u64) {
+        if !self.adaptive || !level.pooled || cells == 0 {
             return;
         }
-        let read = (level as usize % 2) * self.n;
-        let write = ((level as usize + 1) % 2) * self.n;
+        let read = (level.index as usize % 2) * self.n;
+        let write = ((level.index as usize + 1) % 2) * self.n;
         let measured = ((cells as u128 * 1_000_000) / nanos.max(1) as u128).max(1);
         let measured = u64::try_from(measured).unwrap_or(u64::MAX);
         let old = self.speeds[read + w].load(Ordering::SeqCst);
@@ -318,6 +339,150 @@ impl ChunkPlanner {
             .saturating_add(measured / 4)
             .max(1);
         self.speeds[write + w].store(blended, Ordering::SeqCst);
+    }
+}
+
+/// The serial/parallel crossover of [`Chunking::Adaptive`]: whether one
+/// level is worth releasing to the pool.
+///
+/// It is `pcmax-simcore`'s level cost (DESIGN §2: a level ends when its
+/// slowest processor does, plus the barrier) with measured constants. A
+/// level of `w` cell·transitions (cells × the space's transitions) costs
+/// `w·c` inline on the leader and about `w·c/n + h` pooled on `n`
+/// workers, where `c` is the kernel's time per cell·transition and `h` the
+/// handoff: release, wake-up, the wait for the slowest peer and the
+/// barrier. A level is pooled only when `w·c·(1 − 1/n) > h`.
+///
+/// Both constants are process-wide EWMAs (`¾·old + ¼·sample`, clamped) of
+/// timings the sweep takes anyway: `c` from the leader's chunk timer, `h`
+/// from the pool's release → barrier-return time minus the leader's own
+/// chunk ([`persistent::Plan::handoff`]). Each sweep decides every level
+/// from one snapshot and feeds one sample of each back when it ends. The
+/// handoff is sampled only on levels near the cut (saving at most
+/// [`Self::NEAR_CUT`] handoffs): on big levels the wait for the slowest
+/// peer grows with the level and a steal burst can add milliseconds, which
+/// says nothing about the levels the decision is about. The seeds are
+/// measurements of the strip kernel on a 2-vCPU x86-64 VM; the clamps keep
+/// host noise from ever pooling a tiny level or shutting the pool out of a
+/// big one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Crossover {
+    /// Kernel time per cell·transition on one thread, in picoseconds.
+    ps_per_ct: u64,
+    /// Cost of one pooled level beyond the leader's own share, in ns.
+    handoff_ns: u64,
+}
+
+static PS_PER_CT: AtomicU64 = AtomicU64::new(Crossover::SEED.ps_per_ct);
+static HANDOFF_NS: AtomicU64 = AtomicU64::new(Crossover::SEED.handoff_ns);
+
+impl Crossover {
+    const SEED: Crossover = Crossover {
+        ps_per_ct: 5_000,
+        handoff_ns: 150_000,
+    };
+    const PS_PER_CT_RANGE: RangeInclusive<u64> = 250..=20_000;
+    const HANDOFF_NS_RANGE: RangeInclusive<u64> = 5_000..=250_000;
+    /// Smallest leader chunk whose timing feeds `ps_per_ct`: below it the
+    /// fixed per-chunk costs (head decode, ISA dispatch, timer) dominate,
+    /// and they do not shrink when a level is shared.
+    const MIN_SAMPLE_CT: u64 = 1 << 14;
+    /// Pooled levels whose sharing saves at most this many handoffs feed
+    /// the handoff estimate.
+    const NEAR_CUT: u128 = 4;
+
+    /// The current process-wide estimates.
+    fn current() -> Self {
+        // SeqCst: two loads per sweep, off the hot path.
+        Self {
+            ps_per_ct: PS_PER_CT.load(Ordering::SeqCst),
+            handoff_ns: HANDOFF_NS.load(Ordering::SeqCst),
+        }
+    }
+
+    /// `w·c·(n − 1)` and `h·n` in picoseconds: sharing a level of `work`
+    /// cell·transitions over `n` workers saves `w·c·(1 − 1/n)`, and it
+    /// pays when that exceeds `h`.
+    fn saving_and_handoff(&self, work: u64, n: usize) -> (u128, u128) {
+        let n = n as u128;
+        let saving = work as u128 * self.ps_per_ct as u128 * n.saturating_sub(1);
+        (saving, self.handoff_ns as u128 * 1000 * n)
+    }
+
+    /// Whether a level of `work` cell·transitions pays for a pool of `n`.
+    fn pools(&self, work: u64, n: usize) -> bool {
+        let (saving, handoff) = self.saving_and_handoff(work, n);
+        saving > handoff
+    }
+
+    /// Whether a level is near enough the cut for its handoff to count.
+    fn near_cut(&self, work: u64, n: usize) -> bool {
+        let (saving, handoff) = self.saving_and_handoff(work, n);
+        saving <= Self::NEAR_CUT * handoff
+    }
+
+    /// Blends one sweep's samples, each a (total, count) pair — kernel
+    /// nanos over cell·transitions, handoff nanos over levels — into the
+    /// process-wide estimates.
+    fn learn(kernel: (u64, u64), handoff: (u64, u64)) {
+        let (nanos, ct) = kernel;
+        if let Some(ps) = (nanos as u128 * 1000).checked_div(ct as u128) {
+            let ps = u64::try_from(ps).unwrap_or(u64::MAX);
+            blend(&PS_PER_CT, ps, Self::PS_PER_CT_RANGE);
+        }
+        let (nanos, levels) = handoff;
+        if let Some(per_level) = nanos.checked_div(levels) {
+            blend(&HANDOFF_NS, per_level, Self::HANDOFF_NS_RANGE);
+        }
+    }
+}
+
+/// `slot ← clamp(¾·slot + ¼·sample)`. Concurrent sweeps may interleave
+/// their load/store pairs and drop a sample; an estimate only needs to
+/// track the host, not to count every sweep.
+fn blend(slot: &AtomicU64, sample: u64, range: RangeInclusive<u64>) {
+    let old = slot.load(Ordering::SeqCst);
+    let blended =
+        (old.saturating_mul(3).saturating_add(sample) / 4).clamp(*range.start(), *range.end());
+    slot.store(blended, Ordering::SeqCst);
+}
+
+/// One sweep's leader-side [`persistent::Plan`]: every level pooled without
+/// a crossover (`Chunking::Static`, or any audit build), else the
+/// crossover's per-level decision, with the near-cut handoffs summed for
+/// [`Crossover::learn`].
+struct SweepPlan<'a> {
+    crossover: Option<Crossover>,
+    threads: usize,
+    layout: &'a LevelLayout,
+    transitions: u64,
+    /// Σ handoff nanos (each capped at the estimate's ceiling) and count.
+    handoffs: (u64, u64),
+}
+
+impl SweepPlan<'_> {
+    fn work(&self, index: u32) -> u64 {
+        self.layout.level_span(index).len() as u64 * self.transitions
+    }
+
+    fn decide(&self, index: u32) -> bool {
+        self.crossover
+            .is_none_or(|c| c.pools(self.work(index), self.threads))
+    }
+}
+
+impl persistent::Plan for SweepPlan<'_> {
+    fn pooled(&mut self, index: u32) -> bool {
+        self.decide(index)
+    }
+
+    fn handoff(&mut self, index: u32, nanos: u64) {
+        if let Some(c) = self.crossover {
+            if c.near_cut(self.work(index), self.threads) {
+                self.handoffs.0 += nanos.min(*Crossover::HANDOFF_NS_RANGE.end());
+                self.handoffs.1 += 1;
+            }
+        }
     }
 }
 
@@ -400,7 +565,22 @@ pub fn bucketed_sweep_space_with<S: StateSpace>(
     };
     let transitions = space.transitions();
     let levels = table.levels();
-    let n = threads.max(1);
+    // The crossover: a level goes to the pool only if its predicted work
+    // beats the handoff. If none does, the sweep spawns no pool at all.
+    let crossover =
+        (chunking == Chunking::Adaptive && !cfg!(feature = "audit")).then(Crossover::current);
+    let mut plan = SweepPlan {
+        crossover,
+        threads: threads.max(1),
+        layout,
+        transitions: transitions.len() as u64,
+        handoffs: (0, 0),
+    };
+    let n = if plan.threads > 1 && (1..levels).any(|index| plan.decide(index)) {
+        plan.threads
+    } else {
+        1
+    };
     let states = scratch.take_kernel_bufs(n);
     let strides = &table.strides;
     let dims = &table.dims;
@@ -425,9 +605,12 @@ pub fn bucketed_sweep_space_with<S: StateSpace>(
             .collect::<Vec<_>>()
     });
     let busy = &busy;
+    // The leader's timed chunks feeding the crossover's kernel estimate:
+    // (nanos, cell·transitions). Written by worker 0 only.
+    let sampled = &[AtomicU64::new(0), AtomicU64::new(0)];
 
-    let kernel = |w: usize, level: u32, kb: &mut KernelScratch| {
-        let span = layout.level_span(level);
+    let kernel = |w: usize, level: Level, kb: &mut KernelScratch| {
+        let span = layout.level_span(level.index);
         let (clo, chi) = planner.bounds(w, level, span.len());
         let lo = span.start + clo;
         let hi = span.start + chi;
@@ -440,7 +623,7 @@ pub fn bucketed_sweep_space_with<S: StateSpace>(
         // hooks inside the cell loops below (enforced by the audit lint's
         // trace-hot rule).
         let _chunk_span = pcmax_trace::span("chunk", w as u64);
-        let t0 = (planner.adaptive || busy.is_some()).then(std::time::Instant::now);
+        let t0 = (crossover.is_some() || busy.is_some()).then(std::time::Instant::now);
         match cell_kernel {
             CellKernel::Strip => {
                 kb.prepare(k, tile_cells);
@@ -483,14 +666,18 @@ pub fn bucketed_sweep_space_with<S: StateSpace>(
             if let Some(busy) = busy {
                 busy[w].inc_by(nanos);
             }
-            if planner.adaptive {
-                planner.record(w, level, hi - lo, nanos);
+            planner.record(w, level, hi - lo, nanos);
+            let ct = (hi - lo) as u64 * transitions.len() as u64;
+            if w == 0 && crossover.is_some() && ct >= Crossover::MIN_SAMPLE_CT {
+                sampled[0].fetch_add(nanos, Ordering::SeqCst);
+                sampled[1].fetch_add(ct, Ordering::SeqCst);
             }
         }
     };
 
     let sweep_start = std::time::Instant::now();
-    let (states, counters, panicked) = persistent::run_levels_catching(states, 1..levels, kernel);
+    let (states, counters, panicked) =
+        persistent::run_levels_catching(states, 1..levels, &mut plan, kernel);
     // Busy-fraction denominator: each of the n workers could at most have
     // been busy for the whole sweep extent.
     crate::metrics::POOL_EXTENT_NANOS.inc_by(sweep_start.elapsed().as_nanos() as u64 * n as u64);
@@ -499,6 +686,13 @@ pub fn bucketed_sweep_space_with<S: StateSpace>(
     scratch.cells_computed += (table.len - 1) as u64;
     scratch.pool_parks += counters.parks;
     scratch.pool_wakes += counters.wakes;
+    if crossover.is_some() && panicked.is_none() {
+        let kernel_sample = (
+            sampled[0].load(Ordering::SeqCst),
+            sampled[1].load(Ordering::SeqCst),
+        );
+        Crossover::learn(kernel_sample, plan.handoffs);
+    }
     if let Some(payload) = panicked {
         // Scratch is home; the solve may now die exactly like an uncaught
         // kernel panic would have.
@@ -925,11 +1119,15 @@ mod tests {
 
     #[test]
     fn pool_counters_balance_and_surface_through_scratch() {
+        // `Static` pools every level: the adaptive crossover would run a
+        // table this small inline and never park.
         let mut scratch = DpScratch::new();
         let problem = &problems()[0]; // 12 entries, 6 levels
-        ParallelDp::with_threads(4)
-            .solve_in(problem, &mut scratch)
-            .unwrap();
+        let dp = ParallelDp {
+            chunking: Chunking::Static,
+            ..ParallelDp::with_threads(4)
+        };
+        dp.solve_in(problem, &mut scratch).unwrap();
         assert_eq!(
             scratch.pool_parks, scratch.pool_wakes,
             "every entered condvar wait must return"
@@ -1023,6 +1221,110 @@ mod tests {
         );
     }
 
+    /// Sweeps `problem` at `threads` under `chunking`; returns the
+    /// row-major values and the sweep's scratch counters.
+    fn swept(problem: &DpProblem, threads: usize, chunking: Chunking) -> (Vec<u16>, DpScratch) {
+        let mut scratch = DpScratch::new();
+        let mut table = problem.build_level_major_table_in(&mut scratch).unwrap();
+        let configs = problem.configs_with_offsets(&table);
+        table.values[0] = 0;
+        bucketed_sweep_space_with(
+            &mut table,
+            &PcmaxSpace::new(&configs),
+            threads,
+            &mut scratch,
+            CellKernel::default(),
+            chunking,
+        );
+        (table.values_row_major(), scratch)
+    }
+
+    #[test]
+    fn tiny_tables_spawn_no_pool_under_adaptive_and_match_static() {
+        // Every level of these tables is far below any clamped cut, so the
+        // crossover runs the whole sweep inline: no worker is spawned, none
+        // parks. `Static` still pools every level, with the same values.
+        // Audit builds pin the crossover off, so there both pool.
+        for problem in problems() {
+            for threads in [2usize, 4] {
+                let (want, pooled) = swept(&problem, threads, Chunking::Static);
+                let (got, adaptive) = swept(&problem, threads, Chunking::Adaptive);
+                assert_eq!(
+                    got, want,
+                    "{threads} threads: adaptive diverged from static"
+                );
+                assert_eq!(adaptive.pool_parks, adaptive.pool_wakes);
+                if cfg!(feature = "audit") {
+                    assert_eq!(adaptive.pool_parks > 0, pooled.pool_parks > 0);
+                } else {
+                    assert_eq!(
+                        adaptive.pool_parks, 0,
+                        "{threads} threads: a pool was spawned"
+                    );
+                }
+                assert_eq!(adaptive.levels_swept, pooled.levels_swept);
+                assert_eq!(adaptive.cells_computed, pooled.cells_computed);
+            }
+        }
+    }
+
+    #[test]
+    fn crossover_pools_above_the_cut_and_inlines_below() {
+        // 1 ns per cell·transition and a 10 µs handoff: at 2 workers a
+        // level saves half its work, so the cut is 20 000 cell·transitions;
+        // at 4 workers it saves three quarters, so the cut drops to 13 334.
+        let model = Crossover {
+            ps_per_ct: 1_000,
+            handoff_ns: 10_000,
+        };
+        assert!(!model.pools(0, 2));
+        assert!(!model.pools(20_000, 2), "saving == handoff stays inline");
+        assert!(model.pools(20_001, 2));
+        assert!(!model.pools(13_333, 4));
+        assert!(model.pools(13_334, 4));
+        assert!(!model.pools(u64::MAX, 1), "one worker never pools");
+        // Only levels within NEAR_CUT handoffs of the cut sample the handoff.
+        assert!(model.near_cut(20_001, 2));
+        assert!(model.near_cut(80_000, 2));
+        assert!(!model.near_cut(80_001, 2));
+        // Every clamped model inlines a tiny level and pools a huge one.
+        let lo = Crossover {
+            ps_per_ct: *Crossover::PS_PER_CT_RANGE.start(),
+            handoff_ns: *Crossover::HANDOFF_NS_RANGE.end(),
+        };
+        let hi = Crossover {
+            ps_per_ct: *Crossover::PS_PER_CT_RANGE.end(),
+            handoff_ns: *Crossover::HANDOFF_NS_RANGE.start(),
+        };
+        for n in [2usize, 4, 64] {
+            assert!(!hi.pools(100, n), "{n} workers");
+            assert!(lo.pools(10_000_000, n), "{n} workers");
+        }
+    }
+
+    #[test]
+    fn first_pooled_level_after_inline_levels_splits_evenly() {
+        // The leader alone times the inline levels. Were those timings
+        // recorded, worker 0 would look slow (or fast) against a worker 1
+        // that never ran, and the first pooled level would be split by that
+        // artefact rather than evenly.
+        let planner = ChunkPlanner::new(2, Chunking::Adaptive);
+        for index in 1..6 {
+            let inline = Level {
+                index,
+                pooled: false,
+            };
+            assert_eq!(planner.bounds(0, inline, 1000), (0, 1000));
+            planner.record(0, inline, 1000, 1_000_000_000);
+        }
+        let first = Level {
+            index: 6,
+            pooled: true,
+        };
+        assert_eq!(planner.bounds(0, first, 1024), (0, 512));
+        assert_eq!(planner.bounds(1, first, 1024), (512, 1024));
+    }
+
     #[test]
     fn adaptive_chunking_still_partitions_exactly() {
         // Exercise the planner's prefix arithmetic directly across skewed
@@ -1033,11 +1335,20 @@ mod tests {
             for (w, speed) in [(0usize, 10u64), (1, 100_000), (2, 1)] {
                 if w < n {
                     // Feed wildly skewed measurements for both parities.
-                    planner.record(w, 0, 1000, 1_000_000_000 / speed.max(1));
-                    planner.record(w, 1, 1000, 1_000_000_000 / speed.max(1));
+                    for index in [0, 1] {
+                        let level = Level {
+                            index,
+                            pooled: true,
+                        };
+                        planner.record(w, level, 1000, 1_000_000_000 / speed.max(1));
+                    }
                 }
             }
-            for level in 1..6u32 {
+            for index in 1..6u32 {
+                let level = Level {
+                    index,
+                    pooled: true,
+                };
                 for len in [0usize, 1, 5, STRIP_LANES, 1000, 1001] {
                     let mut expect = 0usize;
                     for w in 0..n {

@@ -3,7 +3,8 @@
 
 use pcmax_core::json::{FromJson, ToJson};
 use pcmax_core::wire::{
-    error_code, read_frame, write_frame, WireOp, WireRequest, WireResponse, WireSolve,
+    error_code, parse_payload, read_payload, write_frame, WireOp, WireRequest, WireResponse,
+    WireSolve,
 };
 use pcmax_core::{Budget, CancelToken, Error};
 use pcmax_engine::{Engine, EngineConfig, EngineTotals, SolveHandle, Submission};
@@ -171,8 +172,11 @@ fn handle_connection(
     });
 
     let mut shutdown_id = None;
-    while let Some(value) = read_frame(&mut reader)? {
-        let request = match WireRequest::from_json(&value) {
+    // A payload that is not JSON (too deep, bad UTF-8, a syntax error) or
+    // not a request is answered like any bad request; only a broken frame
+    // loses the connection.
+    while let Some(payload) = read_payload(&mut reader)? {
+        let request = match parse_payload(payload).and_then(|v| WireRequest::from_json(&v)) {
             Ok(request) => request,
             Err(e) => {
                 REQUESTS.with_label("bad-request").inc();

@@ -153,6 +153,67 @@ fn errors_do_not_wedge_the_connection() {
 }
 
 #[test]
+fn too_deep_frame_is_answered_and_the_next_solve_served() {
+    use pcmax_core::json::{FromJson, ToJson};
+    use pcmax_core::wire::{read_frame, write_frame, WireOp, WireRequest, WireResponse};
+    use std::io::Write;
+
+    let (server, addr) = small_server();
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    // One 100 KB frame of `[`: it used to overflow the connection thread's
+    // stack and abort the daemon.
+    let deep = vec![b'['; 100_000];
+    writer
+        .write_all(&(deep.len() as u32).to_be_bytes())
+        .and_then(|()| writer.write_all(&deep))
+        .expect("send deep frame");
+    let mut recv = || -> WireResponse {
+        let frame = read_frame(&mut stream).expect("read").expect("a frame");
+        WireResponse::from_json(&frame).expect("a response")
+    };
+    match recv().outcome {
+        WireOutcome::Error { code, message } => {
+            assert_eq!(code, "bad-request");
+            assert!(message.contains("nesting"), "{message}");
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    // A plain syntax error gets the same answer.
+    writer
+        .write_all(&3u32.to_be_bytes())
+        .and_then(|()| writer.write_all(b"{1}"))
+        .expect("send bad frame");
+    match recv().outcome {
+        WireOutcome::Error { code, .. } => assert_eq!(code, "bad-request"),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    let instance = sample_instance();
+    let solve = WireRequest {
+        id: 1,
+        op: WireOp::Solve(solve_frame("lpt", instance.clone())),
+    };
+    write_frame(&mut writer, &solve.to_json()).expect("send solve");
+    let ok = recv();
+    assert_eq!(ok.id, 1);
+    match ok.outcome {
+        WireOutcome::Ok {
+            makespan,
+            assignment,
+            ..
+        } => assert_eq!(makespan_of(&instance, &assignment), makespan),
+        other => panic!("expected ok, got {other:?}"),
+    }
+    let shutdown = WireRequest {
+        id: 2,
+        op: WireOp::Shutdown,
+    };
+    write_frame(&mut writer, &shutdown.to_json()).expect("send shutdown");
+    assert!(matches!(recv().outcome, WireOutcome::Bye { .. }));
+    server.join().expect("server thread").expect("server io");
+}
+
+#[test]
 fn pipelined_submissions_answer_in_order() {
     let (server, addr) = small_server();
     let instances = generate_batch(Family::new(8, 50, Distribution::U1To10), 3, 6);
