@@ -184,7 +184,8 @@ fn run_race(_seeds: Option<&str>) -> ExitCode {
 #[cfg(feature = "audit")]
 fn run_race(seeds: Option<&str>) -> ExitCode {
     use pcmax_parallel::ParallelDp;
-    use pcmax_ptas::dp::{DpProblem, DpSolver, IterativeDp};
+    use pcmax_ptas::dp::DpProblem;
+    use pcmax_ptas::space::{SerialEngine, SpaceEngine};
 
     let seeds: u64 = match seeds.unwrap_or("64").parse() {
         Ok(n) => n,
@@ -202,7 +203,7 @@ fn run_race(seeds: Option<&str>) -> ExitCode {
         counts[4] = 3;
         DpProblem::new(counts, 2, 30, 64)
     };
-    let expected = match IterativeDp.solve(&problem) {
+    let expected = match SerialEngine.solve(&problem) {
         Ok(out) => out.machines,
         Err(e) => {
             eprintln!("pcmax-audit: sequential reference failed: {e}");

@@ -58,7 +58,6 @@ pub const DP_CAST_FILES: &[&str] = &[
     "crates/ptas/src/uniform.rs",
     "crates/ptas/src/chassis.rs",
     "crates/parallel/src/wavefront.rs",
-    "crates/parallel/src/scoped.rs",
     "crates/pram/src/dp.rs",
 ];
 

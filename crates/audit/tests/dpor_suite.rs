@@ -15,10 +15,10 @@ use pcmax_audit::dpor::workloads::{
     FORK_JOIN_TWO_WORKERS_SCHEDULES, TRIPLE_RMW_THREE_WORKERS_SCHEDULES,
 };
 use pcmax_audit::explore::{sweep, sweep_exhaustive};
-use pcmax_parallel::wavefront::{bucketed_sweep, bucketed_sweep_space_with, spawn_per_level_sweep};
-use pcmax_parallel::{CellKernel, Chunking};
+use pcmax_parallel::wavefront::{bucketed_sweep, bucketed_sweep_space_with};
+use pcmax_parallel::{CellKernel, Chunking, ParallelDp};
 use pcmax_ptas::dp::DpProblem;
-use pcmax_ptas::space::PcmaxSpace;
+use pcmax_ptas::space::{PcmaxSpace, SpaceEngine};
 use pcmax_ptas::table::DpScratch;
 
 /// A deliberately tiny instance (one job of rounded size 2·2, one of 4·2)
@@ -54,13 +54,19 @@ fn pool_values(threads: usize) -> Vec<u16> {
     table.values_row_major()
 }
 
-/// The spawn-per-level fallback executor on the tiny instance.
-fn spawn_values(threads: usize) -> Vec<u16> {
+/// The paper-literal full-scan executor on the tiny instance.
+fn faithful_values(threads: usize) -> Vec<u16> {
     let problem = tiny_problem();
-    let mut table = problem.build_table().expect("tiny problem fits");
+    let mut scratch = DpScratch::new();
+    let engine = ParallelDp {
+        threads: Some(threads),
+        ..ParallelDp::faithful()
+    };
+    let mut table = engine
+        .table_for(&problem, &mut scratch)
+        .expect("tiny problem fits");
     let configs = problem.configs_with_offsets(&table);
-    table.values[0] = 0;
-    spawn_per_level_sweep(&mut table, &configs, threads, &mut DpScratch::new());
+    engine.sweep(&mut table, &PcmaxSpace::new(&configs), &mut scratch);
     table.values
 }
 
@@ -220,11 +226,11 @@ fn strip_kernel_exhaustive_sweep_is_clean() {
 }
 
 #[test]
-fn spawn_per_level_exhaustive_sweep_is_clean() {
+fn faithful_exhaustive_sweep_is_clean() {
     let expected = tiny_oracle();
     let report = sweep_exhaustive(
         4000,
-        || spawn_values(2),
+        || faithful_values(2),
         |schedule, values| {
             assert_eq!(
                 values, &expected,
@@ -234,9 +240,9 @@ fn spawn_per_level_exhaustive_sweep_is_clean() {
     );
     assert!(
         report.complete,
-        "spawn-per-level on the tiny instance must be fully enumerable"
+        "the faithful sweep on the tiny instance must be fully enumerable"
     );
-    assert!(report.is_clean(), "spawn-per-level findings: {report:?}");
+    assert!(report.is_clean(), "faithful findings: {report:?}");
     assert!(report.max_threads > 1);
 }
 

@@ -9,12 +9,10 @@
 #![cfg(feature = "audit")]
 
 use pcmax_audit::explore::{run_seed, sweep};
-use pcmax_parallel::wavefront::{
-    bucketed_sweep, bucketed_sweep_space, bucketed_sweep_space_with, spawn_per_level_sweep,
-};
-use pcmax_parallel::{sync, CellKernel, Chunking, ParallelDp, ScopedDp};
-use pcmax_ptas::dp::{DpProblem, DpSolver, IterativeDp};
-use pcmax_ptas::space::{serial_sweep, PcmaxSpace, QSpace};
+use pcmax_parallel::wavefront::{bucketed_sweep, bucketed_sweep_space, bucketed_sweep_space_with};
+use pcmax_parallel::{sync, CellKernel, Chunking, ParallelDp};
+use pcmax_ptas::dp::DpProblem;
+use pcmax_ptas::space::{serial_sweep, PcmaxSpace, QSpace, SerialEngine, SpaceEngine};
 use pcmax_ptas::table::DpScratch;
 use std::sync::atomic::Ordering;
 
@@ -269,18 +267,25 @@ fn uniform_capacity_wavefront_is_race_free_across_64_interleavings() {
 }
 
 #[test]
-fn spawn_per_level_fallback_is_race_free() {
-    // The legacy executor survives as the bench baseline and as the
-    // row-major fallback of `bucketed_sweep`; keep it under the detector.
+fn faithful_executor_is_race_free() {
+    // The paper-literal full-scan strategy (Alg. 3 lines 11-12) on scoped
+    // threads: every seeded interleaving must be race-free and reproduce
+    // Table I exactly.
     let report = sweep(
         500,
         32,
         || {
             let problem = paper_problem();
-            let mut table = problem.build_table().expect("paper problem fits");
+            let mut scratch = DpScratch::new();
+            let engine = ParallelDp {
+                threads: Some(3),
+                ..ParallelDp::faithful()
+            };
+            let mut table = engine
+                .table_for(&problem, &mut scratch)
+                .expect("paper problem fits");
             let configs = problem.configs_with_offsets(&table);
-            table.values[0] = 0;
-            spawn_per_level_sweep(&mut table, &configs, 3, &mut DpScratch::new());
+            engine.sweep(&mut table, &PcmaxSpace::new(&configs), &mut scratch);
             table.values
         },
         |seed, values| {
@@ -288,34 +293,18 @@ fn spawn_per_level_fallback_is_race_free() {
         },
     );
     assert!(report.races.is_empty(), "races: {:?}", report.races);
-    assert!(report.max_threads > 1);
-}
-
-#[test]
-fn scoped_round_robin_executor_is_race_free() {
-    let expected = IterativeDp
-        .solve(&paper_problem())
-        .expect("sequential solve");
-    let report = sweep(
-        100,
-        32,
-        || {
-            ScopedDp::new(2)
-                .solve(&paper_problem())
-                .expect("scoped solve")
-        },
-        |seed, out| {
-            assert_eq!(out.machines, expected.machines, "seed {seed}");
-            assert_eq!(out.schedule, expected.schedule, "seed {seed}");
-        },
+    assert!(
+        report.lock_cycles.is_empty() && report.lost_wakeups.is_empty(),
+        "faithful blocking findings: {:?} {:?}",
+        report.lock_cycles,
+        report.lost_wakeups
     );
-    assert!(report.races.is_empty(), "races: {:?}", report.races);
     assert!(report.max_threads > 1);
 }
 
 #[test]
 fn full_parallel_solver_matches_sequential_under_exploration() {
-    let expected = IterativeDp
+    let expected = SerialEngine
         .solve(&paper_problem())
         .expect("sequential solve");
     let report = sweep(

@@ -3,8 +3,10 @@
 //! Algorithm 3, what the paper's implementation does).
 
 use pcmax_bench::micro;
-use pcmax_ptas::dp::DpSolver;
-use pcmax_ptas::{rounded_problem, DpProblem, EpsilonParams, IterativeDp, RegenerateConfigsDp};
+use pcmax_ptas::{
+    rounded_problem, solve_regenerating_configs, DpProblem, EpsilonParams, SerialEngine,
+    SpaceEngine,
+};
 use pcmax_workloads::{generate, Distribution, Family};
 
 fn representative_problem() -> DpProblem {
@@ -18,9 +20,9 @@ fn main() {
     let group = micro::group("ablation_configs");
     let problem = representative_problem();
     group.bench("global_filtered", "m10n30", || {
-        IterativeDp.solve(&problem).unwrap()
+        SerialEngine.solve(&problem).unwrap()
     });
     group.bench("regenerate_per_entry", "m10n30", || {
-        RegenerateConfigsDp.solve(&problem).unwrap()
+        solve_regenerating_configs(&problem).unwrap()
     });
 }

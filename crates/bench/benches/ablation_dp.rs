@@ -4,8 +4,9 @@
 
 use pcmax_bench::micro;
 use pcmax_parallel::ParallelDp;
-use pcmax_ptas::dp::DpSolver;
-use pcmax_ptas::{rounded_problem, DpProblem, EpsilonParams, IterativeDp, MemoizedDp};
+use pcmax_ptas::{
+    rounded_problem, DpProblem, EpsilonParams, MemoizedDp, SerialEngine, SpaceEngine,
+};
 use pcmax_workloads::{generate, Distribution, Family};
 
 fn representative_problem() -> DpProblem {
@@ -19,7 +20,7 @@ fn main() {
     let group = micro::group("ablation_dp");
     let problem = representative_problem();
     group.bench("iterative", "m20n100", || {
-        IterativeDp.solve(&problem).unwrap()
+        SerialEngine.solve(&problem).unwrap()
     });
     group.bench("memoized", "m20n100", || {
         MemoizedDp.solve(&problem).unwrap()

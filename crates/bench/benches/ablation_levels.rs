@@ -1,12 +1,10 @@
 //! Ablation: bucketed level iteration vs the paper-literal full-table scan
-//! per level (Lines 11-12 of Algorithm 3), and the static round-robin
-//! scoped-thread executor. Quantifies the O(sigma * n') scan overhead the
-//! paper's formulation carries.
+//! per level (Lines 11-12 of Algorithm 3). Quantifies the O(sigma * n')
+//! scan overhead the paper's formulation carries.
 
 use pcmax_bench::micro;
-use pcmax_parallel::{ParallelDp, ScopedDp};
-use pcmax_ptas::dp::DpSolver;
-use pcmax_ptas::{rounded_problem, DpProblem, EpsilonParams};
+use pcmax_parallel::ParallelDp;
+use pcmax_ptas::{rounded_problem, DpProblem, EpsilonParams, SpaceEngine};
 use pcmax_workloads::{generate, Distribution, Family};
 
 fn representative_problem() -> DpProblem {
@@ -23,8 +21,4 @@ fn main() {
     group.bench("bucketed", "m10n30", || bucketed.solve(&problem).unwrap());
     let faithful = ParallelDp::faithful();
     group.bench("faithful", "m10n30", || faithful.solve(&problem).unwrap());
-    let scoped = ScopedDp::new(2);
-    group.bench("scoped_static", "m10n30", || {
-        scoped.solve(&problem).unwrap()
-    });
 }

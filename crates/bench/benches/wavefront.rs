@@ -1,7 +1,7 @@
 //! Micro-benchmark for the wavefront DP hot path: DP cells per second of
-//! the persistent-pool level-major executor (`dp-parallel`) against the
-//! pre-PR spawn-per-level row-major executor (`dp-parallel-spawn`) on the
-//! paper's U(1,100) family, both pinned to 4 worker threads.
+//! the persistent-pool level-major executor (`dp-parallel`, pinned to 4
+//! worker threads) against the serial reference engine (`dp-serial`) on the
+//! paper's U(1,100) family.
 //!
 //! ```text
 //! cargo bench -p pcmax-bench --bench wavefront -- [--smoke] \
@@ -11,11 +11,11 @@
 //! * `--json FILE`  — write the measurements as JSON (the tracked baseline
 //!   `BENCH_wavefront.json` is produced this way).
 //! * `--check FILE` — load a baseline and fail (exit 1) if the persistent
-//!   executor's speedup over the spawn-per-level baseline regressed by more
-//!   than 25% for any case measured in both runs. The gate compares
-//!   *speedups*, not raw cells/sec, so it is machine-normalized: CI hardware
-//!   may be slower than the machine that wrote the baseline, but the ratio
-//!   between the two executors on identical inputs should hold.
+//!   executor's speedup over the serial engine regressed by more than 25%
+//!   for any case measured in both runs. The gate compares *speedups*, not
+//!   raw cells/sec, so it is machine-normalized: CI hardware may be slower
+//!   than the machine that wrote the baseline, but the ratio between the
+//!   two engines on identical inputs should hold.
 //! * `--smoke`      — only run the small fixed case (the CI `bench-smoke`
 //!   job uses this together with `--check`).
 //! * `--trace FILE` — additionally run one traced end-to-end PTAS solve of
@@ -32,17 +32,22 @@
 use pcmax_bench::timing::time_stable;
 use pcmax_core::json::{self, Value};
 use pcmax_core::{SolveRequest, Solver};
-use pcmax_parallel::{LevelStrategy, ParallelDp, ParallelPtas};
-use pcmax_ptas::dp::{DpProblem, DpSolver};
-use pcmax_ptas::{rounded_problem, EpsilonParams};
+use pcmax_parallel::{ParallelDp, ParallelPtas};
+use pcmax_ptas::dp::DpProblem;
+use pcmax_ptas::{rounded_problem, EpsilonParams, SerialEngine, SpaceEngine};
 use pcmax_workloads::{generate, Distribution, Family};
 use std::process::ExitCode;
 
-/// Threads both executors are pinned to (the acceptance point of the PR).
+/// Threads the parallel executor is pinned to.
 const THREADS: usize = 4;
 
-/// Regression tolerance on the persistent/spawn-per-level speedup ratio.
+/// Regression tolerance on the persistent/serial speedup ratio.
 const TOLERANCE: f64 = 0.25;
+
+/// Interleaved persistent/serial timing rounds per case; the gated speedup
+/// is the median of the per-round ratios, so drift across the run (clock
+/// boost, a noisy neighbour) hits both engines of a round alike.
+const ROUNDS: usize = 5;
 
 struct Case {
     name: &'static str,
@@ -74,8 +79,11 @@ const CASES: &[Case] = &[
 struct Measurement {
     name: &'static str,
     cells: u64,
+    /// Best of the rounds, per engine.
     persistent_cps: f64,
-    spawn_cps: f64,
+    serial_cps: f64,
+    /// Median over the rounds of persistent/serial cells per second.
+    speedup: f64,
     /// Full-solve throughput over the *total* wall (bisection included).
     solve_total_cps: Option<f64>,
     /// Full-solve throughput over the dp phase wall only — the figure
@@ -84,10 +92,6 @@ struct Measurement {
 }
 
 impl Measurement {
-    fn speedup(&self) -> f64 {
-        self.persistent_cps / self.spawn_cps
-    }
-
     fn to_json(&self) -> Value {
         let mut fields = vec![
             ("case", Value::Str(self.name.to_string())),
@@ -96,11 +100,8 @@ impl Measurement {
                 "persistent_cells_per_sec",
                 Value::Float(self.persistent_cps),
             ),
-            (
-                "spawn_per_level_cells_per_sec",
-                Value::Float(self.spawn_cps),
-            ),
-            ("speedup", Value::Float(self.speedup())),
+            ("serial_cells_per_sec", Value::Float(self.serial_cps)),
+            ("speedup", Value::Float(self.speedup)),
         ];
         if let Some(cps) = self.solve_total_cps {
             fields.push(("solve_cells_per_sec_total_wall", Value::Float(cps)));
@@ -127,30 +128,21 @@ fn measure(case: &Case, min_secs: f64) -> Measurement {
     let cells = (problem.build_table().expect("guarded size").len - 1) as u64;
 
     let persistent = ParallelDp::with_threads(THREADS);
-    let spawn = ParallelDp {
-        threads: Some(THREADS),
-        strategy: LevelStrategy::SpawnPerLevel,
-        ..ParallelDp::default()
-    };
 
-    // The two executors must agree before their speeds are worth comparing.
+    // The two engines must agree before their speeds are worth comparing.
     let a = persistent.solve(&problem).expect("persistent solve");
-    let b = spawn.solve(&problem).expect("spawn-per-level solve");
-    assert_eq!(a, b, "{}: executors diverged", case.name);
+    let b = SerialEngine.solve(&problem).expect("serial solve");
+    assert_eq!(a, b, "{}: engines diverged", case.name);
 
-    // Best-of-3: the min per-run time filters scheduler noise, which matters
-    // for the ratio gate far more than absolute accuracy does.
-    let best = |f: &mut dyn FnMut()| {
-        (0..3)
-            .map(|_| time_stable(min_secs, &mut *f))
-            .fold(f64::INFINITY, f64::min)
-    };
-    let t_persistent = best(&mut || {
-        persistent.solve(&problem).expect("solve");
-    });
-    let t_spawn = best(&mut || {
-        spawn.solve(&problem).expect("solve");
-    });
+    let rounds: Vec<(f64, f64)> = (0..ROUNDS)
+        .map(|_| {
+            let t_persistent = time_stable(min_secs, || persistent.solve(&problem).expect("solve"));
+            let t_serial = time_stable(min_secs, || SerialEngine.solve(&problem).expect("solve"));
+            (cells as f64 / t_persistent, cells as f64 / t_serial)
+        })
+        .collect();
+    let mut ratios: Vec<f64> = rounds.iter().map(|(p, s)| p / s).collect();
+    ratios.sort_by(f64::total_cmp);
 
     // One end-to-end PTAS solve for the two report-level throughputs: the
     // total-wall figure divides by bisection + reconstruction too, so only
@@ -167,8 +159,9 @@ fn measure(case: &Case, min_secs: f64) -> Measurement {
     Measurement {
         name: case.name,
         cells,
-        persistent_cps: cells as f64 / t_persistent,
-        spawn_cps: cells as f64 / t_spawn,
+        persistent_cps: rounds.iter().map(|r| r.0).fold(0.0, f64::max),
+        serial_cps: rounds.iter().map(|r| r.1).fold(0.0, f64::max),
+        speedup: ratios[ROUNDS / 2],
         solve_total_cps: report.stats.dp_cells_per_sec(),
         solve_dp_phase_cps: report.stats.dp_phase_cells_per_sec(),
     }
@@ -211,15 +204,13 @@ fn check_against(baseline: &Value, current: &[Measurement]) -> Result<(), String
         let floor = base_speedup * (1.0 - TOLERANCE);
         println!(
             "check {:<28} baseline x{base_speedup:.2}  current x{:.2}  floor x{floor:.2}",
-            m.name,
-            m.speedup()
+            m.name, m.speedup
         );
-        if m.speedup() < floor {
+        if m.speedup < floor {
             return Err(format!(
                 "{}: speedup regressed to x{:.2} (baseline x{base_speedup:.2}, \
                  floor x{floor:.2})",
-                m.name,
-                m.speedup()
+                m.name, m.speedup
             ));
         }
     }
@@ -259,13 +250,9 @@ fn main() -> ExitCode {
     for case in CASES.iter().filter(|c| !smoke || c.smoke) {
         let m = measure(case, min_secs);
         println!(
-            "{:<28} {:>10} cells   persistent {:>12.0} cells/s   spawn-per-level \
+            "{:<28} {:>10} cells   persistent {:>12.0} cells/s   serial \
              {:>12.0} cells/s   x{:.2}",
-            m.name,
-            m.cells,
-            m.persistent_cps,
-            m.spawn_cps,
-            m.speedup()
+            m.name, m.cells, m.persistent_cps, m.serial_cps, m.speedup
         );
         if let (Some(total), Some(phase)) = (m.solve_total_cps, m.solve_dp_phase_cps) {
             println!(

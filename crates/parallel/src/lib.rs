@@ -6,10 +6,11 @@
 //! job-count vectors have equal digit sums) are mutually independent and
 //! depend only on strictly lower anti-diagonals, so each anti-diagonal is a
 //! parallel level and levels are processed in order with a barrier between
-//! them. The executors:
+//! them. [`ParallelDp`] is a `pcmax_ptas::SpaceEngine` with two
+//! [`LevelStrategy`]s:
 //!
-//! * [`ParallelDp`] with [`LevelStrategy::Bucketed`] — the production
-//!   executor ([`wavefront`]): a level-major table whose levels are
+//! * [`LevelStrategy::Bucketed`] — the production executor
+//!   ([`wavefront`]): a level-major table whose levels are
 //!   contiguous slices, written **in place** by a [`persistent`] worker
 //!   pool that is spawned once per sweep and parked between levels, with
 //!   the lane-parallel strip kernel ([`simd`]). Under the default
@@ -17,18 +18,13 @@
 //!   when its measured cost model says sharing beats the handoff; smaller
 //!   levels run inline on the calling thread, and a table with no such
 //!   level spawns no pool thread at all.
-//! * [`ParallelDp`] with [`LevelStrategy::Faithful`] — the paper-literal
-//!   variant: every level scans *all* σ entries and filters `d_i = l`,
-//!   exactly like Lines 11–12 of Algorithm 3, on scoped threads ([`pool`]);
-//!   an ablation bench quantifies the cost of that extra scan.
-//! * [`ParallelDp`] with [`LevelStrategy::SpawnPerLevel`] — the previous
-//!   production executor (thread spawn/join per level, sequential
-//!   scatter), kept as the `wavefront` micro-benchmark's baseline.
-//! * [`ScopedDp`] (static round-robin) — the closest analogue of the
-//!   paper's OpenMP static schedule.
+//! * [`LevelStrategy::Faithful`] — the paper-literal variant: every level
+//!   scans *all* σ entries and filters `d_i = l`, exactly like Lines 11–12
+//!   of Algorithm 3, on scoped threads ([`pool`]); an ablation bench
+//!   quantifies the cost of that extra scan.
 //!
-//! All of them produce bit-identical tables to the sequential solvers; the
-//! tests assert it.
+//! Both produce bit-identical tables to the serial engine; the tests assert
+//! it.
 //!
 //! Shared-memory accesses (fork/join handoffs, the table scatter/gather)
 //! flow through the [`sync`] seam: zero-cost passthroughs normally, and —
@@ -38,14 +34,12 @@
 pub mod metrics;
 pub mod persistent;
 pub mod pool;
-pub mod scoped;
 pub mod simd;
 pub mod speculative;
 pub mod sync;
 pub mod wavefront;
 
 pub use pool::effective_threads;
-pub use scoped::ScopedDp;
 pub use speculative::SpeculativePtas;
 pub use wavefront::{CellKernel, Chunking, LevelStrategy, ParallelDp};
 
@@ -63,7 +57,7 @@ impl ParallelPtas {
     /// Parallel PTAS with relative error `epsilon`, using all cores.
     pub fn new(epsilon: f64) -> Result<Self> {
         Ok(Self {
-            inner: Ptas::with_solver(epsilon, ParallelDp::default())?,
+            inner: Ptas::with_engine(epsilon, ParallelDp::default())?,
         })
     }
 
@@ -71,7 +65,7 @@ impl ParallelPtas {
     /// of cores" axis).
     pub fn with_threads(epsilon: f64, threads: usize) -> Result<Self> {
         Ok(Self {
-            inner: Ptas::with_solver(epsilon, ParallelDp::with_threads(threads))?,
+            inner: Ptas::with_engine(epsilon, ParallelDp::with_threads(threads))?,
         })
     }
 
@@ -93,9 +87,9 @@ impl Solver for ParallelPtas {
             Some(threads) => {
                 let dp = ParallelDp {
                     threads: Some(threads),
-                    ..*self.inner.solver()
+                    ..*self.inner.engine()
                 };
-                let repinned = Ptas::with_solver(self.inner.params().epsilon, dp)?;
+                let repinned = Ptas::with_engine(self.inner.params().epsilon, dp)?;
                 let (out, stats) = repinned.solve_with(req)?;
                 Ok(SolveReport {
                     makespan: out.schedule.makespan(req.instance),

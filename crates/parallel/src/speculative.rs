@@ -25,9 +25,10 @@ use pcmax_core::{
     Solver, Time,
 };
 use pcmax_ptas::config::Config;
-use pcmax_ptas::dp::{DpProblem, DpSolver};
+use pcmax_ptas::dp::DpProblem;
 use pcmax_ptas::driver::reconstruct;
 use pcmax_ptas::rounding::{JobPartition, RoundedLongJobs};
+use pcmax_ptas::space::SpaceEngine;
 use pcmax_ptas::table::DpScratch;
 use pcmax_ptas::{rounded_problem, EpsilonParams};
 use std::time::Instant;

@@ -8,15 +8,14 @@
 //! per sweep, a level-major table (each level one contiguous slice, see
 //! `pcmax_ptas::LevelLayout`) so the scatter is a **parallel in-place
 //! write** over disjoint sub-slices, and an incremental in-level decode
-//! (`next_in_level`) so no per-cell `Vec` is ever allocated. The pre-PR
-//! spawn-per-level executor survives as [`LevelStrategy::SpawnPerLevel`] —
-//! the baseline the `wavefront` micro-benchmark measures speedup against.
+//! (`next_in_level`) so no per-cell `Vec` is ever allocated. The
+//! paper-literal [`LevelStrategy::Faithful`] scan is the other strategy.
 
 use crate::persistent::{self, Level};
 use crate::{pool, simd, sync};
 use pcmax_ptas::config::Config;
-use pcmax_ptas::dp::{finish, fits, DpOutcome, DpProblem, DpSolver};
-use pcmax_ptas::space::{PcmaxSpace, SpaceEngine, StateSpace};
+use pcmax_ptas::dp::fits;
+use pcmax_ptas::space::{serial_sweep, PcmaxSpace, SpaceEngine, StateSpace};
 use pcmax_ptas::table::{
     decode_into, next_in_level, strip_digits, DpScratch, DpTable, KernelScratch, LevelLayout,
     INFEASIBLE, STRIP_LANES,
@@ -77,17 +76,13 @@ pub enum LevelStrategy {
     /// those with digit sum `d_i = l` (Lines 11–12 of Algorithm 3), giving
     /// O(σ·n') total scan work. Kept for the ablation study.
     Faithful,
-    /// The previous production executor: row-major table, a thread
-    /// spawn/join per level, per-cell decode and a sequential scatter. Kept
-    /// as the regression baseline for the `wavefront` micro-benchmark.
-    SpawnPerLevel,
 }
 
 /// Wavefront DP: anti-diagonal levels processed in order; inside a level,
 /// subproblem values are computed in parallel from the (immutable) lower
 /// levels.
 ///
-/// Produces bit-identical tables to `pcmax_ptas::IterativeDp` (compare via
+/// Produces bit-identical tables to `pcmax_ptas::SerialEngine` (compare via
 /// `DpTable::values_row_major`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ParallelDp {
@@ -117,52 +112,14 @@ impl ParallelDp {
             ..Self::default()
         }
     }
-
-    /// The pre-persistent-pool executor (spawn/join per level).
-    pub fn spawn_per_level() -> Self {
-        Self {
-            strategy: LevelStrategy::SpawnPerLevel,
-            ..Self::default()
-        }
-    }
-
-    /// The bucketed sweep pinned to the pre-batching scalar cell kernel —
-    /// the ablation baseline the lane kernel is benchmarked against.
-    pub fn scalar_kernel() -> Self {
-        Self {
-            kernel: CellKernel::Scalar,
-            ..Self::default()
-        }
-    }
-}
-
-impl DpSolver for ParallelDp {
-    fn name(&self) -> &'static str {
-        match self.strategy {
-            LevelStrategy::Bucketed => "dp-parallel",
-            LevelStrategy::Faithful => "dp-parallel-faithful",
-            LevelStrategy::SpawnPerLevel => "dp-parallel-spawn",
-        }
-    }
-
-    fn solve_in(
-        &self,
-        problem: &DpProblem,
-        scratch: &mut DpScratch,
-    ) -> pcmax_core::Result<DpOutcome> {
-        let mut table = match self.strategy {
-            LevelStrategy::Bucketed => problem.build_level_major_table_in(scratch)?,
-            _ => problem.build_table_in(scratch)?,
-        };
-        let configs = problem.configs_with_offsets(&table);
-        self.sweep(&mut table, &PcmaxSpace::new(&configs), scratch);
-        finish(problem, table, &configs, scratch)
-    }
 }
 
 impl SpaceEngine for ParallelDp {
     fn engine_name(&self) -> &'static str {
-        DpSolver::name(self)
+        match self.strategy {
+            LevelStrategy::Bucketed => "dp-parallel",
+            LevelStrategy::Faithful => "dp-parallel-faithful",
+        }
     }
 
     fn level_major(&self) -> bool {
@@ -184,9 +141,6 @@ impl SpaceEngine for ParallelDp {
                 self.chunking,
             ),
             LevelStrategy::Faithful => faithful_sweep_space(table, space, threads, scratch),
-            LevelStrategy::SpawnPerLevel => {
-                spawn_per_level_sweep_space(table, space, threads, scratch)
-            }
         }
     }
 }
@@ -511,8 +465,8 @@ fn tile_cells_for(k: usize) -> usize {
 /// Public so the `pcmax-audit` interleaving suite can drive the sweep on a
 /// caller-owned table and compare the filled values bit-for-bit against the
 /// sequential DP under many explored schedules. Falls back to
-/// [`spawn_per_level_sweep`] when `table` is not level-major (results are
-/// identical either way).
+/// [`serial_sweep`] when `table` is not level-major (results are identical
+/// either way).
 pub fn bucketed_sweep(
     table: &mut DpTable,
     configs: &[(Vec<u32>, usize)],
@@ -560,7 +514,7 @@ pub fn bucketed_sweep_space_with<S: StateSpace>(
     chunking: Chunking,
 ) {
     let Some(layout) = table.layout.as_ref() else {
-        spawn_per_level_sweep_space(table, space, threads, scratch);
+        serial_sweep(table, space);
         return;
     };
     let transitions = space.transitions();
@@ -907,7 +861,7 @@ fn strip_chunk<S: StateSpace>(
 }
 
 /// Computes one subproblem's value from the already-filled lower levels of
-/// a **row-major** table (the legacy and faithful paths).
+/// a **row-major** table (the faithful path).
 ///
 /// Every read this function performs is the disjoint-write argument's *read
 /// precondition*: a nonzero config `c ≤ v` has digit sum ≥ 1, so `v − c`
@@ -932,55 +886,6 @@ fn value_of<S: StateSpace>(table: &DpTable, space: &S, idx: usize, v: &[u32]) ->
         }
     }
     best.saturating_add(1)
-}
-
-/// The pre-persistent-pool production sweep, kept as the micro-benchmark
-/// baseline: precomputed per-level index buckets, a thread spawn/join per
-/// level (`pool::map_chunked`), a per-cell `table.decode` allocation, a
-/// per-level results `Vec` and a sequential scatter.
-pub fn spawn_per_level_sweep(
-    table: &mut DpTable,
-    configs: &[(Vec<u32>, usize)],
-    threads: usize,
-    scratch: &mut DpScratch,
-) {
-    spawn_per_level_sweep_space(table, &PcmaxSpace::new(configs), threads, scratch)
-}
-
-/// [`spawn_per_level_sweep`] generalized over the [`StateSpace`] seam.
-pub fn spawn_per_level_sweep_space<S: StateSpace>(
-    table: &mut DpTable,
-    space: &S,
-    threads: usize,
-    scratch: &mut DpScratch,
-) {
-    let mut buckets = scratch.take_buckets();
-    table.fill_level_buckets(&mut buckets);
-    for (level, bucket) in buckets.iter().enumerate().skip(1) {
-        let _level_span = pcmax_trace::span("level", level as u64);
-        // Disjoint-write precondition: a level's scatter targets are pairwise
-        // distinct. Buckets are built in ascending index order, so strict
-        // monotonicity is exactly pairwise disjointness.
-        debug_assert!(
-            bucket.windows(2).all(|w| w[0] < w[1]),
-            "level bucket indices must be strictly increasing (pairwise disjoint)"
-        );
-        // Parallel read phase: all dependencies live on lower levels, so the
-        // immutable borrow of `table` is race-free by construction.
-        let results = pool::map_chunked(threads, bucket, |&idx| {
-            let idx = idx as usize;
-            let v = table.decode(idx);
-            value_of(table, space, idx, &v)
-        });
-        // Sequential scatter phase: disjoint writes within the level.
-        for (&idx, val) in bucket.iter().zip(results) {
-            sync::trace_write(idx as usize);
-            table.values[idx as usize] = val;
-        }
-    }
-    scratch.return_buckets(buckets);
-    scratch.levels_swept += table.levels().saturating_sub(1) as u64;
-    scratch.cells_computed += (table.len - 1) as u64;
 }
 
 /// The paper-literal sweep: compute the digit-sum array `D` in parallel
@@ -1019,7 +924,8 @@ fn faithful_sweep_space<S: StateSpace>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcmax_ptas::dp::{verify_witness, IterativeDp};
+    use pcmax_ptas::dp::{verify_witness, DpProblem, MemoizedDp};
+    use pcmax_ptas::space::{QSpace, SerialEngine};
 
     fn problems() -> Vec<DpProblem> {
         let mut out = Vec::new();
@@ -1042,7 +948,7 @@ mod tests {
     #[test]
     fn bucketed_matches_sequential_bit_for_bit() {
         for problem in problems() {
-            let seq = IterativeDp.solve(&problem).unwrap();
+            let seq = SerialEngine.solve(&problem).unwrap();
             let par = ParallelDp::default().solve(&problem).unwrap();
             assert_eq!(seq.machines, par.machines);
             assert_eq!(seq.schedule, par.schedule, "extraction is deterministic");
@@ -1055,18 +961,8 @@ mod tests {
     #[test]
     fn faithful_matches_sequential() {
         for problem in problems() {
-            let seq = IterativeDp.solve(&problem).unwrap();
+            let seq = SerialEngine.solve(&problem).unwrap();
             let par = ParallelDp::faithful().solve(&problem).unwrap();
-            assert_eq!(seq.machines, par.machines);
-            assert_eq!(seq.schedule, par.schedule);
-        }
-    }
-
-    #[test]
-    fn spawn_per_level_matches_sequential() {
-        for problem in problems() {
-            let seq = IterativeDp.solve(&problem).unwrap();
-            let par = ParallelDp::spawn_per_level().solve(&problem).unwrap();
             assert_eq!(seq.machines, par.machines);
             assert_eq!(seq.schedule, par.schedule);
         }
@@ -1388,13 +1284,24 @@ mod tests {
         );
     }
 
+    /// Sweeps `problem` under `caps` with `engine`, in the engine's layout;
+    /// returns the row-major values.
+    fn swept_q<E: SpaceEngine>(engine: &E, problem: &DpProblem, caps: &[u64]) -> Vec<u16> {
+        let mut scratch = DpScratch::new();
+        let mut table = engine.table_for(problem, &mut scratch).unwrap();
+        let configs = problem.configs_with_offsets(&table);
+        let space = QSpace::new(&configs, &table.sizes, caps);
+        engine.sweep(&mut table, &space, &mut scratch);
+        table.values_row_major()
+    }
+
     #[test]
     fn q_space_engines_match_the_serial_engine() {
-        use pcmax_ptas::space::{QSpace, SerialEngine};
-
         // Capacity profiles from one machine to strongly heterogeneous; the
-        // parallel engines must reproduce the serial generic sweep bit for
-        // bit under the step filter, not just on P||Cmax.
+        // parallel engines and the memoized Algorithm 2 must reproduce the
+        // serial generic sweep bit for bit under the step filter, not just
+        // on P||Cmax. Every unit vector is a transition here, so the
+        // memoized walk reaches every entry.
         let caps_sets: Vec<Vec<u64>> = vec![
             vec![30, 30, 30, 30],
             vec![30, 20, 10, 6],
@@ -1403,37 +1310,24 @@ mod tests {
         ];
         for problem in problems() {
             for caps in &caps_sets {
-                let engines = [
+                let want = swept_q(&SerialEngine, &problem, caps);
+                for engine in [
                     ParallelDp::default(),
                     ParallelDp::faithful(),
-                    ParallelDp::spawn_per_level(),
                     ParallelDp::with_threads(3),
-                ];
-                let mut scratch = DpScratch::new();
-                let mut reference = match problem.build_table_in(&mut scratch) {
-                    Ok(t) => t,
-                    Err(_) => continue,
-                };
-                let configs = problem.configs_with_offsets(&reference);
-                let space = QSpace::new(&configs, &reference.sizes, caps);
-                SerialEngine.sweep(&mut reference, &space, &mut scratch);
-                let want = reference.values_row_major();
-                for engine in engines {
-                    let mut table = if engine.level_major() {
-                        problem.build_level_major_table_in(&mut scratch).unwrap()
-                    } else {
-                        problem.build_table_in(&mut scratch).unwrap()
-                    };
-                    let configs = problem.configs_with_offsets(&table);
-                    let space = QSpace::new(&configs, &table.sizes, caps);
-                    engine.sweep(&mut table, &space, &mut scratch);
+                ] {
                     assert_eq!(
-                        table.values_row_major(),
+                        swept_q(&engine, &problem, caps),
                         want,
                         "{} diverged on caps {caps:?}",
                         engine.engine_name()
                     );
                 }
+                assert_eq!(
+                    swept_q(&MemoizedDp, &problem, caps),
+                    want,
+                    "dp-memoized diverged on caps {caps:?}"
+                );
             }
         }
     }
@@ -1462,7 +1356,7 @@ mod tests {
         // And on an identical-machine instance (speeds default to 1).
         let inst = Instance::new(vec![13, 11, 9, 8, 8, 7, 5, 4, 2, 2, 1, 1], 3).unwrap();
         let serial = QPtas::new(0.3).unwrap().solve_detailed(&inst).unwrap();
-        let parallel = QPtas::with_engine(0.3, ParallelDp::spawn_per_level())
+        let parallel = QPtas::with_engine(0.3, ParallelDp::faithful())
             .unwrap()
             .solve_detailed(&inst)
             .unwrap();
@@ -1473,7 +1367,7 @@ mod tests {
     #[test]
     fn row_major_fallback_still_fills_the_table() {
         // `bucketed_sweep` on a table without a level-major layout degrades
-        // to the spawn-per-level executor with identical results.
+        // to the serial sweep with identical results.
         let problem = &problems()[0];
         let mut table = problem.build_table().unwrap();
         let configs = problem.configs_with_offsets(&table);

@@ -1,5 +1,5 @@
 //! The paper's wavefront DP expressed against the PRAM cost model: the same
-//! values as `pcmax_ptas::IterativeDp`, but with every parallel step charged
+//! values as `pcmax_ptas::SerialEngine`, but with every parallel step charged
 //! its EREW work/depth — so we can report the algorithm's *theoretical*
 //! work/depth profile and compare against Mayr's `O(log² n)` depth bound.
 
@@ -75,7 +75,7 @@ pub fn wavefront_dp(problem: &DpProblem) -> Result<WavefrontCost> {
 mod tests {
     use super::*;
     use crate::machine::brent_time;
-    use pcmax_ptas::dp::{DpSolver, IterativeDp};
+    use pcmax_ptas::space::{SerialEngine, SpaceEngine};
 
     fn paper_problem() -> DpProblem {
         let mut counts = vec![0u32; 16];
@@ -86,7 +86,7 @@ mod tests {
 
     #[test]
     fn computes_the_same_opt_as_the_cpu_solver() {
-        let cpu = IterativeDp.solve(&paper_problem()).unwrap();
+        let cpu = SerialEngine.solve(&paper_problem()).unwrap();
         let pram = wavefront_dp(&paper_problem()).unwrap();
         assert_eq!(pram.machines, cpu.machines);
         assert_eq!(pram.machines, 2);

@@ -1,6 +1,8 @@
-//! The dynamic program at the heart of the PTAS (Algorithm 2), behind the
-//! pluggable [`DpSolver`] trait so the sequential and parallel
-//! implementations are interchangeable inside the bisection driver.
+//! The dynamic program at the heart of the PTAS (Algorithm 2): the rounded
+//! subproblem [`DpProblem`], the memoized top-down engine [`MemoizedDp`], and
+//! the epilogue every solve ends with ([`finish`]). All engines implement
+//! the one [`SpaceEngine`] trait, whose provided `solve_in` builds the table
+//! in the engine's layout, sweeps it and calls [`finish`].
 //!
 //! `OPT(v)` is the minimum number of machines that can run the rounded long
 //! jobs counted by `v` within the target makespan `T`:
@@ -11,10 +13,11 @@
 //! ```
 
 use crate::config::{enumerate_configs_sized, Config};
+use crate::space::{extract_schedule_with, PcmaxSpace, SpaceEngine, StateSpace};
 use crate::table::{DpScratch, DpTable, INFEASIBLE};
 use pcmax_core::{Error, Result, Time};
 
-/// One rounded scheduling subproblem handed to a [`DpSolver`]: the class
+/// One rounded scheduling subproblem handed to a [`SpaceEngine`]: the class
 /// counts `N`, the rounding unit, the target makespan `T`, and the machine
 /// budget `m` that decides feasibility.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,67 +120,16 @@ impl DpOutcome {
     }
 }
 
-/// A dynamic-programming solver for rounded long-job scheduling. The
-/// sequential implementations live here; `pcmax_parallel::ParallelDp`
-/// implements the same trait with the paper's wavefront parallelization.
-pub trait DpSolver {
-    /// Stable name for harness output.
-    fn name(&self) -> &'static str;
-
-    /// Computes `OPT(N)` and, if feasible, a witness schedule, drawing the
-    /// dense table's storage from the reusable `scratch` arena — the form
-    /// the bisection driver calls so repeated probes share one allocation.
-    fn solve_in(&self, problem: &DpProblem, scratch: &mut DpScratch) -> Result<DpOutcome>;
-
-    /// Computes `OPT(N)` with a private one-shot arena.
-    fn solve(&self, problem: &DpProblem) -> Result<DpOutcome> {
-        self.solve_in(problem, &mut DpScratch::new())
-    }
-}
-
-/// Extracts a witness schedule by walking the optimal path backwards from
-/// `N`: at each step pick any configuration `s ≤ v` with
-/// `OPT(v−s) = OPT(v) − 1`. Works on any table with correct values on the
-/// optimal path (both the iterative and memoized solvers guarantee that).
-pub fn extract_schedule(
-    table: &DpTable,
-    configs: &[(Config, usize)],
-    classes: usize,
-) -> Result<Vec<Config>> {
-    crate::space::extract_schedule_with(table, &crate::space::PcmaxSpace::new(configs), classes)
-}
-
 /// Componentwise `c ≤ v`.
 #[inline]
 pub fn fits(c: &[u32], v: &[u32]) -> bool {
     c.iter().zip(v).all(|(&ci, &vi)| ci <= vi)
 }
 
-/// Iterative bottom-up DP (dense sweep in row-major index order). Because
-/// `v − s` has a strictly smaller row-major index than `v` for `s ≠ 0`, a
-/// single ascending pass sees every dependency before its dependents — this
-/// is the sequential reference implementation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IterativeDp;
-
-impl DpSolver for IterativeDp {
-    fn name(&self) -> &'static str {
-        "dp-iterative"
-    }
-
-    fn solve_in(&self, problem: &DpProblem, scratch: &mut DpScratch) -> Result<DpOutcome> {
-        let mut table = problem.build_table_in(scratch)?;
-        let configs = problem.configs_with_offsets(&table);
-        // The generic sweep with the P||Cmax space monomorphizes to exactly
-        // the pre-chassis ascending row-major loop.
-        crate::space::serial_sweep(&mut table, &crate::space::PcmaxSpace::new(&configs));
-        finish(problem, table, &configs, scratch)
-    }
-}
-
 /// Memoized top-down DP — the literal shape of the paper's Algorithm 2: the
 /// recursion starts at `N` and visits only subproblems reachable from it,
-/// which can be far fewer than σ.
+/// which can be far fewer than σ. Entries it never reaches keep
+/// [`UNVISITED`]. Row-major tables only.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MemoizedDp;
 
@@ -188,21 +140,19 @@ pub struct MemoizedDp;
 /// witness walk in [`crate::space`] both use.
 pub const UNVISITED: u16 = u16::MAX - 1;
 
-impl DpSolver for MemoizedDp {
-    fn name(&self) -> &'static str {
+impl SpaceEngine for MemoizedDp {
+    fn engine_name(&self) -> &'static str {
         "dp-memoized"
     }
 
-    fn solve_in(&self, problem: &DpProblem, scratch: &mut DpScratch) -> Result<DpOutcome> {
-        let mut table = problem.build_table_in(scratch)?;
-        let configs = problem.configs_with_offsets(&table);
+    fn sweep<S: StateSpace>(&self, table: &mut DpTable, space: &S, _scratch: &mut DpScratch) {
         table.values.fill(UNVISITED);
         table.values[0] = 0;
+        let transitions = space.transitions();
         // Explicit stack to avoid deep recursion on long optimal paths.
         // Post-order evaluation: push a frame, expand unvisited children,
         // fold the minimum once all children are done.
-        let root = table.last_index();
-        let mut stack: Vec<(usize, bool)> = vec![(root, false)];
+        let mut stack: Vec<(usize, bool)> = vec![(table.last_index(), false)];
         while let Some((idx, expanded)) = stack.pop() {
             if table.values[idx] != UNVISITED {
                 continue;
@@ -210,32 +160,46 @@ impl DpSolver for MemoizedDp {
             let v = table.decode(idx);
             if expanded {
                 let mut best = INFEASIBLE;
-                for (c, offset) in &configs {
+                for (t_idx, (c, offset)) in transitions.iter().enumerate() {
                     if fits(c, &v) {
-                        best = best.min(table.values[idx - offset]);
+                        let below = table.values[idx - offset];
+                        if space.step_allowed(t_idx, below) {
+                            best = best.min(below);
+                        }
                     }
                 }
                 table.values[idx] = best.saturating_add(1);
             } else {
                 stack.push((idx, true));
-                for (c, offset) in &configs {
+                for (c, offset) in transitions {
                     if fits(c, &v) && table.values[idx - offset] == UNVISITED {
                         stack.push((idx - offset, false));
                     }
                 }
             }
         }
-        finish(problem, table, &configs, scratch)
     }
 }
 
-/// Shared epilogue: read `OPT(N)`, extract the witness if feasible, then
-/// recycle the table's storage into the arena for the next probe. Reads go
-/// through [`DpTable::value_at`], so level-major tables work unchanged.
+/// The `P||Cmax` epilogue: [`finish_with`] over the bare transition set.
 pub fn finish(
     problem: &DpProblem,
     table: DpTable,
     configs: &[(Config, usize)],
+    scratch: &mut DpScratch,
+) -> Result<DpOutcome> {
+    finish_with(problem, table, &PcmaxSpace::new(configs), scratch)
+}
+
+/// The epilogue every solve ends with: read `OPT(N)` (either sentinel reads
+/// as `u32::MAX`), extract the witness with the space's step filter if it
+/// fits the machine budget, then recycle the table's storage into the arena
+/// for the next probe. Reads go through [`DpTable::value_at`], so
+/// level-major tables work unchanged.
+pub fn finish_with<S: StateSpace>(
+    problem: &DpProblem,
+    table: DpTable,
+    space: &S,
     scratch: &mut DpScratch,
 ) -> Result<DpOutcome> {
     let opt = table.value_at(table.last_index());
@@ -246,7 +210,7 @@ pub fn finish(
         opt as u32
     };
     let schedule = if machines as usize <= problem.max_machines {
-        Some(extract_schedule(&table, configs, problem.counts.len())?)
+        Some(extract_schedule_with(&table, space, problem.counts.len())?)
     } else {
         None
     };
@@ -259,34 +223,26 @@ pub fn finish(
 /// instead of filtering one global set. Asymptotically equivalent but
 /// constant-factor slower; kept for the ablation study
 /// (`benches/ablation_configs.rs`) because it is what the paper's
-/// implementation does.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RegenerateConfigsDp;
-
-impl DpSolver for RegenerateConfigsDp {
-    fn name(&self) -> &'static str {
-        "dp-regenerate-configs"
-    }
-
-    fn solve_in(&self, problem: &DpProblem, scratch: &mut DpScratch) -> Result<DpOutcome> {
-        let mut table = problem.build_table_in(scratch)?;
-        table.values[0] = 0;
-        let mut v = vec![0u32; table.dims.len()];
-        for idx in 1..table.len {
-            increment(&mut v, &table.dims);
-            // C_v: configurations bounded by the entry's own vector.
-            let configs_v =
-                crate::config::enumerate_configs_sized(&v, &table.sizes, problem.target);
-            let mut best = INFEASIBLE;
-            for c in &configs_v {
-                let offset = table.index(c);
-                best = best.min(table.values[idx - offset]);
-            }
-            table.values[idx] = best.saturating_add(1);
+/// implementation does. The per-entry enumeration needs the target, so this
+/// is a plain function rather than a [`SpaceEngine`].
+pub fn solve_regenerating_configs(problem: &DpProblem) -> Result<DpOutcome> {
+    let mut scratch = DpScratch::new();
+    let mut table = problem.build_table_in(&mut scratch)?;
+    table.values[0] = 0;
+    let mut v = vec![0u32; table.dims.len()];
+    for idx in 1..table.len {
+        increment(&mut v, &table.dims);
+        // C_v: configurations bounded by the entry's own vector.
+        let configs_v = enumerate_configs_sized(&v, &table.sizes, problem.target);
+        let mut best = INFEASIBLE;
+        for c in &configs_v {
+            let offset = table.index(c);
+            best = best.min(table.values[idx - offset]);
         }
-        let configs = problem.configs_with_offsets(&table);
-        finish(problem, table, &configs, scratch)
+        table.values[idx] = best.saturating_add(1);
     }
+    let configs = problem.configs_with_offsets(&table);
+    finish(problem, table, &configs, &mut scratch)
 }
 
 /// Mixed-radix increment (row-major: last digit fastest).
@@ -324,6 +280,15 @@ pub fn verify_witness(problem: &DpProblem, schedule: &[Config]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::space::SerialEngine;
+
+    /// The two sequential engines, named for assertion messages.
+    /// `SpaceEngine` is not object-safe, hence plain function pointers.
+    type Solve = fn(&DpProblem) -> Result<DpOutcome>;
+    const ENGINES: [(&str, Solve); 2] = [
+        ("serial", |p| SerialEngine.solve(p)),
+        ("memoized", |p| MemoizedDp.solve(p)),
+    ];
 
     /// The paper's worked example: N has 2 jobs of rounded size 6 (class 3,
     /// unit 2) and 3 jobs of rounded size 10 (class 5), T = 30.
@@ -338,9 +303,9 @@ mod tests {
     fn paper_example_needs_two_machines() {
         // Loads: machine capacity 30; jobs {6,6,10,10,10} total 42 -> at
         // least 2 machines; {6,10,10} = 26 and {6,10} = 16 fit -> OPT = 2.
-        for solver in [&IterativeDp as &dyn DpSolver, &MemoizedDp] {
-            let out = solver.solve(&paper_problem(4)).unwrap();
-            assert_eq!(out.machines, 2, "{}", solver.name());
+        for (name, solve) in ENGINES {
+            let out = solve(&paper_problem(4)).unwrap();
+            assert_eq!(out.machines, 2, "{name}");
             let witness = out.schedule.unwrap();
             assert_eq!(witness.len(), 2);
             assert!(verify_witness(&paper_problem(4), &witness));
@@ -349,7 +314,7 @@ mod tests {
 
     #[test]
     fn infeasible_when_budget_too_small() {
-        let out = IterativeDp.solve(&paper_problem(1)).unwrap();
+        let out = SerialEngine.solve(&paper_problem(1)).unwrap();
         assert_eq!(out.machines, 2);
         assert!(!out.feasible());
     }
@@ -357,8 +322,8 @@ mod tests {
     #[test]
     fn empty_vector_needs_zero_machines() {
         let problem = DpProblem::new(vec![0; 16], 2, 30, 3);
-        for solver in [&IterativeDp as &dyn DpSolver, &MemoizedDp] {
-            let out = solver.solve(&problem).unwrap();
+        for (_, solve) in ENGINES {
+            let out = solve(&problem).unwrap();
             assert_eq!(out.machines, 0);
             assert_eq!(out.schedule.unwrap().len(), 0);
         }
@@ -388,7 +353,7 @@ mod tests {
                         counts[i] = c;
                     }
                     let problem = DpProblem::new(counts, unit, target, 100);
-                    let a = IterativeDp.solve(&problem).unwrap();
+                    let a = SerialEngine.solve(&problem).unwrap();
                     let b = MemoizedDp.solve(&problem).unwrap();
                     assert_eq!(
                         a.machines, b.machines,
@@ -413,7 +378,7 @@ mod tests {
         let mut counts = vec![0u32; 4];
         counts[0] = 4;
         let problem = DpProblem::new(counts, 10, 10, 4);
-        let out = IterativeDp.solve(&problem).unwrap();
+        let out = SerialEngine.solve(&problem).unwrap();
         assert_eq!(out.machines, 4);
         let w = out.schedule.unwrap();
         assert!(w.iter().all(|c| c.iter().sum::<u32>() == 1));
@@ -427,16 +392,16 @@ mod tests {
         counts[4] = 3; // class 5, unit 1, size 5
         counts[2] = 3; // class 3, size 3
         let problem = DpProblem::new(counts, 1, 8, 10);
-        let out = IterativeDp.solve(&problem).unwrap();
+        let out = SerialEngine.solve(&problem).unwrap();
         assert_eq!(out.machines, 3);
         assert!(verify_witness(&problem, &out.schedule.unwrap()));
     }
 
     #[test]
-    fn regenerate_configs_matches_iterative() {
+    fn regenerate_configs_matches_serial() {
         for m in [1usize, 2, 4] {
-            let a = IterativeDp.solve(&paper_problem(m)).unwrap();
-            let b = RegenerateConfigsDp.solve(&paper_problem(m)).unwrap();
+            let a = SerialEngine.solve(&paper_problem(m)).unwrap();
+            let b = solve_regenerating_configs(&paper_problem(m)).unwrap();
             assert_eq!(a.machines, b.machines);
             assert_eq!(a.schedule, b.schedule);
         }
@@ -451,6 +416,6 @@ mod tests {
             max_machines: 100,
             max_entries: 1000,
         };
-        assert!(IterativeDp.solve(&problem).is_err());
+        assert!(SerialEngine.solve(&problem).is_err());
     }
 }

@@ -4,9 +4,10 @@
 
 use crate::chassis::Scenario;
 use crate::config::Config;
-use crate::dp::{DpProblem, DpSolver, IterativeDp};
+use crate::dp::DpProblem;
 use crate::params::EpsilonParams;
 use crate::rounding::{JobPartition, PcmaxRounding, RoundedLongJobs, Rounding};
+use crate::space::{SerialEngine, SpaceEngine};
 use crate::table::{DpScratch, DpTable};
 use pcmax_core::{
     profile, Error, Instance, ProfileKey, Result, Schedule, ScheduleBuilder, SolveReport,
@@ -50,34 +51,30 @@ pub struct PtasOutput {
     pub log: BisectionLog,
 }
 
-/// The Hochbaum–Shmoys PTAS with a pluggable DP solver.
+/// The Hochbaum–Shmoys PTAS with a pluggable DP engine.
 ///
 /// `Ptas::new(0.3)` reproduces the paper's sequential configuration; the
-/// parallel version is `Ptas::with_solver(0.3, pcmax_parallel::ParallelDp::default())`.
+/// parallel version is `Ptas::with_engine(0.3, pcmax_parallel::ParallelDp::default())`.
 #[derive(Debug, Clone)]
-pub struct Ptas<S = IterativeDp> {
+pub struct Ptas<E = SerialEngine> {
     params: EpsilonParams,
-    solver: S,
+    engine: E,
     max_entries: usize,
 }
 
-impl Ptas<IterativeDp> {
+impl Ptas<SerialEngine> {
     /// Sequential PTAS with relative error `epsilon`.
     pub fn new(epsilon: f64) -> Result<Self> {
-        Ok(Self {
-            params: EpsilonParams::new(epsilon)?,
-            solver: IterativeDp,
-            max_entries: DpProblem::DEFAULT_MAX_ENTRIES,
-        })
+        Self::with_engine(epsilon, SerialEngine)
     }
 }
 
-impl<S: DpSolver> Ptas<S> {
-    /// PTAS with a custom DP solver (e.g. the parallel wavefront DP).
-    pub fn with_solver(epsilon: f64, solver: S) -> Result<Self> {
+impl<E: SpaceEngine> Ptas<E> {
+    /// PTAS with a custom DP engine (e.g. the parallel wavefront DP).
+    pub fn with_engine(epsilon: f64, engine: E) -> Result<Self> {
         Ok(Self {
             params: EpsilonParams::new(epsilon)?,
-            solver,
+            engine,
             max_entries: DpProblem::DEFAULT_MAX_ENTRIES,
         })
     }
@@ -93,9 +90,9 @@ impl<S: DpSolver> Ptas<S> {
         &self.params
     }
 
-    /// The DP solver plugged into the bisection.
-    pub fn solver(&self) -> &S {
-        &self.solver
+    /// The DP engine plugged into the bisection.
+    pub fn engine(&self) -> &E {
+        &self.engine
     }
 
     /// Builds the rounded DP problem for `inst` at target `t`.
@@ -122,7 +119,7 @@ impl<S: DpSolver> Ptas<S> {
     }
 }
 
-impl<S: DpSolver> Scenario for Ptas<S> {
+impl<E: SpaceEngine> Scenario for Ptas<E> {
     /// Per-machine configs plus the rounding/partition metadata needed to
     /// map them back to original jobs.
     type Witness = (Vec<Config>, RoundedLongJobs, JobPartition);
@@ -139,7 +136,7 @@ impl<S: DpSolver> Scenario for Ptas<S> {
         scratch: &mut DpScratch,
     ) -> Result<(u32, Option<Self::Witness>)> {
         let (problem, rounded, partition) = self.problem_at(inst, target);
-        let outcome = self.solver.solve_in(&problem, scratch)?;
+        let outcome = self.engine.solve_in(&problem, scratch)?;
         Ok((
             outcome.machines,
             outcome
@@ -193,7 +190,7 @@ impl<S: DpSolver> Scenario for Ptas<S> {
     }
 }
 
-impl<S: DpSolver + Send + Sync> Solver for Ptas<S> {
+impl<E: SpaceEngine + Send + Sync> Solver for Ptas<E> {
     fn solver_name(&self) -> &'static str {
         "PTAS"
     }
@@ -361,7 +358,7 @@ mod tests {
     fn memoized_and_iterative_drivers_agree_on_target() {
         let inst = Instance::new(vec![23, 19, 17, 13, 11, 7, 5, 3, 2, 2, 29, 31], 4).unwrap();
         let a = ptas().solve_detailed(&inst).unwrap();
-        let b = Ptas::with_solver(0.3, MemoizedDp)
+        let b = Ptas::with_engine(0.3, MemoizedDp)
             .unwrap()
             .solve_detailed(&inst)
             .unwrap();

@@ -6,8 +6,8 @@
 //!   to multiples of `⌈T/k²⌉` (Lines 9–24 of Algorithm 1),
 //! * [`config`] — machine-configuration enumeration (Equation 3),
 //! * [`table`] — the mixed-radix dense DP table over job-count vectors,
-//! * [`dp`] — the [`DpSolver`] trait plus the sequential solvers
-//!   ([`IterativeDp`], [`MemoizedDp`]; Algorithm 2),
+//! * [`dp`] — the rounded subproblem ([`DpProblem`]), the memoized
+//!   Algorithm 2 ([`MemoizedDp`]) and the shared solve epilogue,
 //! * [`trace`] — per-subproblem cost capture for the simulated executor,
 //! * [`driver`] — the bisection search, schedule reconstruction and the
 //!   public [`Ptas`] scheduler.
@@ -19,14 +19,14 @@
 //!   classes + reconstruction map),
 //! * [`space`] — the [`StateSpace`] trait (transition set + per-step
 //!   feasibility filter) with the [`PcmaxSpace`]/[`QSpace`] instantiations,
-//!   and the [`SpaceEngine`] trait any sweep implementation satisfies,
+//!   and [`SpaceEngine`], the one DP-engine trait, with the serial
+//!   reference engine [`SerialEngine`],
 //! * [`chassis`] — the [`Scenario`] trait and the model-agnostic
 //!   `chassis::drive` bisection loop,
 //! * [`uniform`] — the `Q||Cmax` instantiation ([`QPtas`], [`QRounding`]).
 //!
 //! The parallel DP of the paper (Algorithm 3) lives in the `pcmax-parallel`
-//! crate and plugs into [`Ptas`] through [`DpSolver`], and into the chassis
-//! through [`SpaceEngine`].
+//! crate and plugs into [`Ptas`] and [`QPtas`] alike through [`SpaceEngine`].
 //!
 //! # Quick start
 //!
@@ -53,7 +53,7 @@ pub mod uniform;
 
 pub use chassis::Scenario;
 pub use config::{enumerate_configs, Config};
-pub use dp::{DpOutcome, DpProblem, DpSolver, IterativeDp, MemoizedDp, RegenerateConfigsDp};
+pub use dp::{solve_regenerating_configs, DpOutcome, DpProblem, MemoizedDp};
 pub use driver::{rounded_problem, BisectionLog, Ptas, PtasOutput};
 pub use params::EpsilonParams;
 pub use rounding::{JobPartition, PcmaxRounding, RoundedLongJobs, Rounding};

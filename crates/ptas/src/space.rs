@@ -6,9 +6,13 @@
 //! [`StateSpace`] packages the scenario-specific parts of that kernel: the
 //! transition set (machine configurations with their flat table offsets) and
 //! an optional per-step feasibility filter. A [`SpaceEngine`] is anything
-//! that can fill a [`DpTable`] for any [`StateSpace`] — the serial reference
-//! sweep lives here; `pcmax_parallel::ParallelDp` implements the same trait
-//! with the paper's wavefront executors.
+//! that can fill a [`DpTable`] for any [`StateSpace`], and it is the only
+//! DP-engine trait: its provided [`solve_in`](SpaceEngine::solve_in) runs a
+//! whole `P||Cmax` subproblem, so `Ptas`, `QPtas` and the speculative
+//! driver all share the same engines. The serial reference sweep lives
+//! here, the memoized Algorithm 2 in [`crate::dp`], and
+//! `pcmax_parallel::ParallelDp` implements the trait with the paper's
+//! wavefront executors.
 //!
 //! * `P||Cmax` is [`PcmaxSpace`]: no filter, every transition is allowed —
 //!   the kernels monomorphize back to exactly the pre-chassis code.
@@ -19,7 +23,7 @@
 //!   fastest machines that can run `v`".
 
 use crate::config::Config;
-use crate::dp::{fits, increment, UNVISITED};
+use crate::dp::{finish, fits, increment, DpOutcome, DpProblem, UNVISITED};
 use crate::table::{DpScratch, DpTable, INFEASIBLE};
 use pcmax_core::{Error, Result, Time};
 
@@ -188,6 +192,9 @@ impl StateSpace for QSpace<'_> {
 /// `OPT(0) = 0` and computes every other entry with the min-reduce kernel.
 /// Engines may require a specific storage order via
 /// [`level_major`](SpaceEngine::level_major).
+///
+/// Not object-safe (the sweep is generic over the space): callers that
+/// iterate over engines use closures or function pointers.
 pub trait SpaceEngine {
     /// Stable name for harness output.
     fn engine_name(&self) -> &'static str;
@@ -202,11 +209,37 @@ pub trait SpaceEngine {
     /// whatever the builder put there) for `space`, accounting counters to
     /// `scratch`.
     fn sweep<S: StateSpace>(&self, table: &mut DpTable, space: &S, scratch: &mut DpScratch);
+
+    /// Builds `problem`'s empty table in this engine's storage order, with
+    /// storage from (and accounted to) `scratch`.
+    fn table_for(&self, problem: &DpProblem, scratch: &mut DpScratch) -> Result<DpTable> {
+        if self.level_major() {
+            problem.build_level_major_table_in(scratch)
+        } else {
+            problem.build_table_in(scratch)
+        }
+    }
+
+    /// Computes `OPT(N)` and, if feasible, a witness schedule for a
+    /// `P||Cmax` subproblem, drawing the table's storage from the reusable
+    /// `scratch` arena — the form the bisection driver calls so repeated
+    /// probes share one allocation.
+    fn solve_in(&self, problem: &DpProblem, scratch: &mut DpScratch) -> Result<DpOutcome> {
+        let mut table = self.table_for(problem, scratch)?;
+        let configs = problem.configs_with_offsets(&table);
+        self.sweep(&mut table, &PcmaxSpace::new(&configs), scratch);
+        finish(problem, table, &configs, scratch)
+    }
+
+    /// [`solve_in`](Self::solve_in) with a private one-shot arena.
+    fn solve(&self, problem: &DpProblem) -> Result<DpOutcome> {
+        self.solve_in(problem, &mut DpScratch::new())
+    }
 }
 
 /// The sequential reference engine: a single ascending row-major pass (every
-/// dependency of an entry has a smaller flat index). Exactly
-/// [`crate::IterativeDp`] generalized over the space.
+/// dependency of an entry has a smaller flat index, since `v − s` has a
+/// strictly smaller row-major index than `v` for `s ≠ 0`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SerialEngine;
 
@@ -221,7 +254,8 @@ impl SpaceEngine for SerialEngine {
 }
 
 /// The generic serial sweep (row-major ascending order). With
-/// [`PcmaxSpace`] this monomorphizes to the pre-chassis `IterativeDp` loop.
+/// [`PcmaxSpace`] the filter compiles away and this is the plain bottom-up
+/// dense loop.
 pub fn serial_sweep<S: StateSpace>(table: &mut DpTable, space: &S) {
     table.values[0] = 0;
     let transitions = space.transitions();
@@ -244,10 +278,10 @@ pub fn serial_sweep<S: StateSpace>(table: &mut DpTable, space: &S) {
 
 /// Witness extraction generalized over the space: walk the optimal path back
 /// from `N`, at each step taking the *first* transition that decreases the
-/// value by one and passes the space's step filter. With [`PcmaxSpace`] this
-/// is exactly [`crate::dp::extract_schedule`]; with [`QSpace`] the
-/// transition extracted at value `q` is the configuration of the `q−1`-th
-/// fastest machine (its load fits `caps[q−1]` by the filter).
+/// value by one and passes the space's step filter. With [`PcmaxSpace`] any
+/// such step is a machine configuration; with [`QSpace`] the transition
+/// extracted at value `q` is the configuration of the `q−1`-th fastest
+/// machine (its load fits `caps[q−1]` by the filter).
 pub fn extract_schedule_with<S: StateSpace>(
     table: &DpTable,
     space: &S,
@@ -287,7 +321,6 @@ pub fn extract_schedule_with<S: StateSpace>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp::{DpProblem, DpSolver, IterativeDp};
 
     fn paper_problem() -> DpProblem {
         let mut counts = vec![0u32; 16];
@@ -307,21 +340,8 @@ mod tests {
             vec![0, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 2],
             "Table I of the paper"
         );
-        let seq = IterativeDp.solve(&problem).unwrap();
+        let seq = SerialEngine.solve(&problem).unwrap();
         assert_eq!(seq.machines, 2);
-    }
-
-    #[test]
-    fn extract_with_pcmax_space_matches_legacy_extraction() {
-        let problem = paper_problem();
-        let mut table = problem.build_table().unwrap();
-        let configs = problem.configs_with_offsets(&table);
-        serial_sweep(&mut table, &PcmaxSpace::new(&configs));
-        let generic =
-            extract_schedule_with(&table, &PcmaxSpace::new(&configs), problem.counts.len())
-                .unwrap();
-        let legacy = crate::dp::extract_schedule(&table, &configs, problem.counts.len()).unwrap();
-        assert_eq!(generic, legacy);
     }
 
     #[test]

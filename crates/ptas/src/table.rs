@@ -59,18 +59,15 @@ impl KernelScratch {
     }
 }
 
-/// Reusable allocation arena threaded through `DpSolver::solve_in`: the
-/// dense value table and the per-level index buckets are allocated once per
-/// PTAS run and recycled across bisection probes, so repeated probes stop
-/// paying the `O(σ)` allocation cost. The counters surface in
-/// `SolveStats`, making the reuse observable from the outside.
+/// Reusable allocation arena threaded through `SpaceEngine::solve_in`: the
+/// dense value table, its level-major layout and the kernel buffers are
+/// allocated once per PTAS run and recycled across bisection probes, so
+/// repeated probes stop paying the `O(σ)` allocation cost. The counters
+/// surface in `SolveStats`, making the reuse observable from the outside.
 #[derive(Debug, Default)]
 pub struct DpScratch {
     /// Recycled backing store for [`DpTable::values`].
     values: Vec<u16>,
-    /// Recycled per-level index buckets (outer vec and inner vecs both keep
-    /// their capacity between probes).
-    buckets: Vec<Vec<u32>>,
     /// Recycled backing store for [`LevelLayout::perm`].
     perm: Vec<u32>,
     /// Recycled backing store for [`LevelLayout::inv`].
@@ -172,17 +169,6 @@ impl DpScratch {
             self.kernels.push(buf);
             self.kernels_outstanding = self.kernels_outstanding.saturating_sub(1);
         }
-    }
-
-    /// Hands out the recycled level-bucket storage (give it back with
-    /// [`return_buckets`](Self::return_buckets)).
-    pub fn take_buckets(&mut self) -> Vec<Vec<u32>> {
-        std::mem::take(&mut self.buckets)
-    }
-
-    /// Returns bucket storage for reuse by the next probe.
-    pub fn return_buckets(&mut self, buckets: Vec<Vec<u32>>) {
-        self.buckets = buckets;
     }
 
     /// Takes a value buffer of exactly `len` entries, all [`INFEASIBLE`],
@@ -338,7 +324,7 @@ impl DpTable {
     /// Builds the level-major permutation by counting sort over digit sums:
     /// two incremental mixed-radix passes, O(σ) time, recycled storage.
     fn build_level_layout(&self, scratch: &mut DpScratch) -> LevelLayout {
-        // Same representable-range guard as `fill_level_buckets`: σ is capped
+        // Same representable-range guard as `level_buckets`: σ is capped
         // by the caller-chosen `max_entries`, so re-assert u32 before the
         // narrowing stores below.
         assert!(
@@ -358,7 +344,7 @@ impl DpTable {
         starts.resize(levels + 1, 0);
 
         // Pass 1: histogram of level sizes (shifted by one for the prefix
-        // sum), via the same incremental counter as `fill_level_buckets`.
+        // sum), via the same incremental counter as `level_buckets`.
         let mut v = vec![0u32; self.dims.len()];
         let mut sum = 0u32;
         for _ in 0..self.len {
@@ -482,7 +468,7 @@ impl DpTable {
     }
 
     /// The values in row-major order regardless of storage layout — the
-    /// canonical form for bit-identical comparisons against `IterativeDp`.
+    /// canonical form for bit-identical comparisons against the serial engine.
     pub fn values_row_major(&self) -> Vec<u16> {
         match &self.layout {
             Some(layout) => layout.inv.iter().enumerate().fold(
@@ -527,15 +513,6 @@ impl DpTable {
     /// Buckets all indices by anti-diagonal level. `buckets[l]` lists the
     /// table indices whose digit sum is `l`, in increasing index order.
     pub fn level_buckets(&self) -> Vec<Vec<u32>> {
-        let mut buckets = Vec::new();
-        self.fill_level_buckets(&mut buckets);
-        buckets
-    }
-
-    /// Like [`level_buckets`](Self::level_buckets), but writing into
-    /// `buckets`, reusing the outer and inner allocations — the form the
-    /// wavefront executors use together with [`DpScratch`].
-    pub fn fill_level_buckets(&self, buckets: &mut Vec<Vec<u32>>) {
         // Buckets store indices as u32 to halve their footprint; σ is capped
         // by `max_entries` at build time, but that cap is caller-chosen, so
         // re-assert the representable range before narrowing below.
@@ -544,11 +521,7 @@ impl DpTable {
             "table too large for u32 level buckets ({} entries)",
             self.len
         );
-        let levels = self.levels() as usize;
-        for b in buckets.iter_mut() {
-            b.clear();
-        }
-        buckets.resize_with(levels, Vec::new);
+        let mut buckets = vec![Vec::new(); self.levels() as usize];
         // Incremental mixed-radix counter with running digit sum: O(σ).
         let mut v = vec![0u32; self.dims.len()];
         let mut sum = 0u32;
@@ -557,12 +530,13 @@ impl DpTable {
             buckets[sum as usize].push(idx as u32);
             increment_with_sum(&mut v, &self.dims, &mut sum);
         }
+        buckets
     }
 }
 
 /// Advances a mixed-radix counter one step (row-major: last digit fastest),
 /// keeping `sum` equal to the digit sum. Wraps to all-zeros after the last
-/// vector, like the counter inside `fill_level_buckets`.
+/// vector, like the counter inside `level_buckets`.
 #[inline]
 fn increment_with_sum(v: &mut [u32], dims: &[u32], sum: &mut u32) {
     for a in (0..dims.len()).rev() {
@@ -933,19 +907,5 @@ mod tests {
         let block_ptr = ks.block.as_ptr();
         ks.prepare(2, STRIP_LANES);
         assert_eq!(ks.block.as_ptr(), block_ptr);
-    }
-
-    #[test]
-    fn fill_level_buckets_matches_fresh_and_reuses_storage() {
-        let t = paper_table();
-        let fresh = t.level_buckets();
-        let mut scratch = DpScratch::new();
-        let mut buckets = scratch.take_buckets();
-        t.fill_level_buckets(&mut buckets);
-        assert_eq!(buckets, fresh);
-        // A second fill (e.g. the next probe) reuses and stays correct.
-        t.fill_level_buckets(&mut buckets);
-        assert_eq!(buckets, fresh);
-        scratch.return_buckets(buckets);
     }
 }

@@ -33,10 +33,10 @@
 //! earliest finishers) is accounted.
 
 use crate::chassis::Scenario;
-use crate::dp::{DpProblem, UNVISITED};
+use crate::dp::{finish_with, DpProblem};
 use crate::params::EpsilonParams;
 use crate::rounding::{JobPartition, PcmaxRounding, RoundedLongJobs, Rounding};
-use crate::space::{extract_schedule_with, QSpace, SerialEngine, SpaceEngine};
+use crate::space::{QSpace, SerialEngine, SpaceEngine};
 use crate::table::{DpScratch, DpTable};
 use crate::{Config, PtasOutput};
 use pcmax_core::{
@@ -188,34 +188,18 @@ impl<E: SpaceEngine> Scenario for QPtas<E> {
             max_machines: inst.machines(),
             max_entries: self.max_entries,
         };
-        let mut table = if self.engine.level_major() {
-            problem.build_level_major_table_in(scratch)?
-        } else {
-            problem.build_table_in(scratch)?
-        };
+        let mut table = self.engine.table_for(&problem, scratch)?;
         let configs = problem.configs_with_offsets(&table);
         let space = QSpace::new(&configs, &table.sizes, &caps);
         self.engine.sweep(&mut table, &space, scratch);
-        let opt = table.value_at(table.last_index());
-        let machines = if opt >= UNVISITED {
-            u32::MAX
-        } else {
-            // audit:allow(cast): u16 -> u32 widening, lossless by construction.
-            opt as u32
-        };
-        let witness = if machines as usize <= inst.machines() {
-            let configs = extract_schedule_with(&table, &space, problem.counts.len())?;
-            Some(QWitness {
-                configs,
-                rounded,
-                partition,
-                perm,
-            })
-        } else {
-            None
-        };
-        scratch.recycle(table);
-        Ok((machines, witness))
+        let outcome = finish_with(&problem, table, &space, scratch)?;
+        let witness = outcome.schedule.map(|configs| QWitness {
+            configs,
+            rounded,
+            partition,
+            perm,
+        });
+        Ok((outcome.machines, witness))
     }
 
     /// `Q||Cmax` profile key: the class-count vector plus *per-machine*

@@ -2,9 +2,8 @@
 //! each other and with a brute-force bin-packing reference on randomized
 //! rounded problems.
 
-use pcmax_ptas::dp::{
-    verify_witness, DpProblem, DpSolver, IterativeDp, MemoizedDp, RegenerateConfigsDp,
-};
+use pcmax_ptas::dp::{solve_regenerating_configs, verify_witness, DpProblem, MemoizedDp};
+use pcmax_ptas::space::{SerialEngine, SpaceEngine};
 use proptest::prelude::*;
 
 /// Brute force: minimum machines to pack the rounded jobs (expanded to a
@@ -75,7 +74,7 @@ proptest! {
             .unwrap_or(0);
         prop_assume!(max_size <= problem.target);
 
-        let got = IterativeDp.solve(&problem).unwrap().machines;
+        let got = SerialEngine.solve(&problem).unwrap().machines;
         let want = brute_min_machines(&problem.counts, problem.unit, problem.target)
             .expect("all jobs fit individually");
         prop_assert_eq!(got, want, "counts={:?} unit={} target={}",
@@ -84,16 +83,16 @@ proptest! {
 
     #[test]
     fn all_three_sequential_solvers_agree(problem in arb_problem()) {
-        let a = IterativeDp.solve(&problem).unwrap();
+        let a = SerialEngine.solve(&problem).unwrap();
         let b = MemoizedDp.solve(&problem).unwrap();
-        let c = RegenerateConfigsDp.solve(&problem).unwrap();
+        let c = solve_regenerating_configs(&problem).unwrap();
         prop_assert_eq!(a.machines, b.machines);
         prop_assert_eq!(a.machines, c.machines);
     }
 
     #[test]
     fn witnesses_are_always_valid(problem in arb_problem()) {
-        let out = IterativeDp.solve(&problem).unwrap();
+        let out = SerialEngine.solve(&problem).unwrap();
         if let Some(witness) = &out.schedule {
             prop_assert!(verify_witness(&problem, witness));
             prop_assert_eq!(witness.len() as u32, out.machines);
@@ -103,12 +102,12 @@ proptest! {
     #[test]
     fn opt_is_monotone_in_the_vector(problem in arb_problem()) {
         // Removing one job never increases OPT.
-        let base = IterativeDp.solve(&problem).unwrap().machines;
+        let base = SerialEngine.solve(&problem).unwrap().machines;
         for (i, &c) in problem.counts.clone().iter().enumerate() {
             if c > 0 {
                 let mut smaller = problem.clone();
                 smaller.counts[i] -= 1;
-                let sub = IterativeDp.solve(&smaller).unwrap().machines;
+                let sub = SerialEngine.solve(&smaller).unwrap().machines;
                 prop_assert!(sub <= base,
                     "removing a class-{i} job raised OPT: {sub} > {base}");
             }
@@ -117,10 +116,10 @@ proptest! {
 
     #[test]
     fn larger_target_never_needs_more_machines(problem in arb_problem()) {
-        let tight = IterativeDp.solve(&problem).unwrap().machines;
+        let tight = SerialEngine.solve(&problem).unwrap().machines;
         let mut relaxed = problem.clone();
         relaxed.target += problem.unit;
-        let loose = IterativeDp.solve(&relaxed).unwrap().machines;
+        let loose = SerialEngine.solve(&relaxed).unwrap().machines;
         // Note: the *counts and unit are held fixed* here (pure DP
         // monotonicity); the full PTAS re-rounds per target, where
         // monotonicity is not guaranteed and not required.

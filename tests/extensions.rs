@@ -2,8 +2,7 @@
 //! speculative bisection, PRAM cost model) against the core solvers.
 
 use pcmax::prelude::*;
-use pcmax::ptas::dp::DpSolver as _;
-use pcmax::ptas::{rounded_problem, DpProblem};
+use pcmax::ptas::{rounded_problem, DpProblem, SerialEngine, SpaceEngine as _};
 use proptest::prelude::*;
 
 fn arb_instance() -> impl Strategy<Value = Instance> {
@@ -45,7 +44,7 @@ proptest! {
         let (problem, _, _) =
             rounded_problem(&inst, &eps, target, DpProblem::DEFAULT_MAX_ENTRIES);
         let pram_cost = wavefront_dp(&problem).unwrap();
-        let cpu = pcmax::ptas::IterativeDp.solve(&problem).unwrap();
+        let cpu = SerialEngine.solve(&problem).unwrap();
         prop_assert_eq!(pram_cost.machines, cpu.machines);
         // Brent on one processor is at least the total work.
         prop_assert!(brent_time(&pram_cost.pram, 1) >= pram_cost.pram.work);
@@ -83,6 +82,6 @@ fn all_solvers_agree_on_one_shared_instance() {
     );
     assert_eq!(
         wavefront_dp(&problem).unwrap().machines,
-        pcmax::ptas::IterativeDp.solve(&problem).unwrap().machines
+        SerialEngine.solve(&problem).unwrap().machines
     );
 }

@@ -3,9 +3,9 @@
 //! of one rounded size and three of another, the 12-entry DP table of
 //! Table I, and the anti-diagonal level structure of Figure 1.
 
-use pcmax::parallel::{ParallelDp, ScopedDp};
-use pcmax::ptas::dp::DpSolver;
-use pcmax::ptas::{DpProblem, EpsilonParams, IterativeDp, MemoizedDp};
+use pcmax::core::Result;
+use pcmax::parallel::ParallelDp;
+use pcmax::ptas::{DpOutcome, DpProblem, EpsilonParams, MemoizedDp, SerialEngine, SpaceEngine};
 
 fn paper_problem() -> DpProblem {
     // N has two non-zero classes; with unit ⌈30/16⌉ = 2 the jobs of original
@@ -48,17 +48,18 @@ fn level_two_holds_the_three_independent_subproblems() {
 #[test]
 fn every_solver_computes_opt_equal_two() {
     // {6,6,10,10,10} within capacity 30: {10,10,10} + {6,6} -> 2 machines.
+    // `SpaceEngine` is not object-safe, so the engines ride in closures.
+    type Solve = fn(&DpProblem) -> Result<DpOutcome>;
     let problem = paper_problem();
-    let solvers: Vec<Box<dyn DpSolver>> = vec![
-        Box::new(IterativeDp),
-        Box::new(MemoizedDp),
-        Box::new(ParallelDp::default()),
-        Box::new(ParallelDp::faithful()),
-        Box::new(ScopedDp::new(3)),
+    let engines: [(&str, Solve); 4] = [
+        ("serial", |p| SerialEngine.solve(p)),
+        ("memoized", |p| MemoizedDp.solve(p)),
+        ("parallel", |p| ParallelDp::default().solve(p)),
+        ("faithful", |p| ParallelDp::faithful().solve(p)),
     ];
-    for solver in &solvers {
-        let out = solver.solve(&problem).unwrap();
-        assert_eq!(out.machines, 2, "{}", solver.name());
+    for (name, solve) in engines {
+        let out = solve(&problem).unwrap();
+        assert_eq!(out.machines, 2, "{name}");
         let witness = out.schedule.expect("feasible on 4 machines");
         assert_eq!(witness.len(), 2);
     }
