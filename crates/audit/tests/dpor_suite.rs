@@ -54,8 +54,9 @@ fn pool_values(threads: usize) -> Vec<u16> {
     table.values_row_major()
 }
 
-/// The paper-literal full-scan executor on the tiny instance.
-fn faithful_values(threads: usize) -> Vec<u16> {
+/// The paper-literal full-scan executor on the tiny instance: the filled
+/// table and the pool's (parks, wakes).
+fn faithful_values(threads: usize) -> (Vec<u16>, (u64, u64)) {
     let problem = tiny_problem();
     let mut scratch = DpScratch::new();
     let engine = ParallelDp {
@@ -67,7 +68,7 @@ fn faithful_values(threads: usize) -> Vec<u16> {
         .expect("tiny problem fits");
     let configs = problem.configs_with_offsets(&table);
     engine.sweep(&mut table, &PcmaxSpace::new(&configs), &mut scratch);
-    table.values
+    (table.values, (scratch.pool_parks, scratch.pool_wakes))
 }
 
 #[test]
@@ -231,11 +232,12 @@ fn faithful_exhaustive_sweep_is_clean() {
     let report = sweep_exhaustive(
         4000,
         || faithful_values(2),
-        |schedule, values| {
+        |schedule, (values, (parks, wakes))| {
             assert_eq!(
                 values, &expected,
                 "schedule {schedule:?}: table diverged from the sequential DP"
             );
+            assert_eq!(parks, wakes, "schedule {schedule:?}: every park must wake");
         },
     );
     assert!(

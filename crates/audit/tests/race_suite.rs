@@ -268,9 +268,9 @@ fn uniform_capacity_wavefront_is_race_free_across_64_interleavings() {
 
 #[test]
 fn faithful_executor_is_race_free() {
-    // The paper-literal full-scan strategy (Alg. 3 lines 11-12) on scoped
-    // threads: every seeded interleaving must be race-free and reproduce
-    // Table I exactly.
+    // The paper-literal full-scan strategy (Alg. 3 lines 11-12) on the
+    // persistent pool: every seeded interleaving must be race-free, balance
+    // the pool's parks and wakes, and reproduce Table I exactly.
     let report = sweep(
         500,
         32,
@@ -286,10 +286,11 @@ fn faithful_executor_is_race_free() {
                 .expect("paper problem fits");
             let configs = problem.configs_with_offsets(&table);
             engine.sweep(&mut table, &PcmaxSpace::new(&configs), &mut scratch);
-            table.values
+            (table.values, scratch.pool_parks, scratch.pool_wakes)
         },
-        |seed, values| {
+        |seed, (values, parks, wakes)| {
             assert_eq!(values.as_slice(), PAPER_TABLE, "seed {seed}");
+            assert_eq!(parks, wakes, "seed {seed}: every park must wake");
         },
     );
     assert!(report.races.is_empty(), "races: {:?}", report.races);

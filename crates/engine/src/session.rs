@@ -651,25 +651,60 @@ mod tests {
 
     #[test]
     fn repeat_submissions_hit_the_shared_profile_cache() {
+        let inst = instance();
+        for algo in ["ptas", "spec-ptas"] {
+            let engine = small_engine();
+            let cold = engine
+                .submit(Submission::new(inst.clone(), algo))
+                .unwrap()
+                .wait()
+                .unwrap();
+            assert_eq!(cold.stats.cache_hits, 0, "{algo}: cold run cannot hit");
+            assert!(cold.stats.cache_misses > 0, "{algo}");
+            assert!(!engine.cache().is_empty(), "{algo}");
+            let warm = engine
+                .submit(Submission::new(inst.clone(), algo))
+                .unwrap()
+                .wait()
+                .unwrap();
+            assert!(
+                warm.stats.cache_hits > 0,
+                "{algo}: warm run must report its hits"
+            );
+            assert_eq!(warm.stats.cache_misses, 0, "{algo}");
+            assert_eq!(warm.makespan, cold.makespan, "{algo}");
+            assert_eq!(warm.certified_target, cold.certified_target, "{algo}");
+            assert_eq!(warm.schedule.assignment(), cold.schedule.assignment());
+        }
+    }
+
+    #[test]
+    fn a_cache_filled_by_par_ptas_serves_spec_ptas() {
         let engine = small_engine();
         let inst = instance();
-        let cold = engine
-            .submit(Submission::new(inst.clone(), "ptas"))
+        let uncached = engine
+            .submit(Submission::new(inst.clone(), "spec-ptas").without_cache())
             .unwrap()
             .wait()
             .unwrap();
-        assert_eq!(cold.stats.cache_hits, 0, "cold run cannot hit");
-        assert!(cold.stats.cache_misses > 0);
-        assert!(!engine.cache().is_empty());
-        let warm = engine
-            .submit(Submission::new(inst.clone(), "ptas"))
+        engine
+            .submit(Submission::new(inst.clone(), "par-ptas"))
             .unwrap()
             .wait()
             .unwrap();
-        assert!(warm.stats.cache_hits > 0, "warm run must report its hits");
-        assert_eq!(warm.stats.cache_misses, 0);
-        assert_eq!(warm.makespan, cold.makespan);
-        assert_eq!(warm.schedule.assignment(), cold.schedule.assignment());
+        let served = engine
+            .submit(Submission::new(inst.clone(), "spec-ptas"))
+            .unwrap()
+            .wait()
+            .unwrap();
+        // Both bisect P||Cmax at the same ε, so they share profile keys: the
+        // first round's midpoint is par-ptas's first probe.
+        assert!(
+            served.stats.cache_hits > 0,
+            "par-ptas entries must serve spec-ptas"
+        );
+        assert_eq!(served.makespan, uncached.makespan);
+        assert_eq!(served.certified_target, uncached.certified_target);
     }
 
     #[test]

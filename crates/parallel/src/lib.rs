@@ -18,13 +18,16 @@
 //!   when its measured cost model says sharing beats the handoff; smaller
 //!   levels run inline on the calling thread, and a table with no such
 //!   level spawns no pool thread at all.
-//! * [`LevelStrategy::Faithful`] — the paper-literal variant: every level
-//!   scans *all* σ entries and filters `d_i = l`, exactly like Lines 11–12
-//!   of Algorithm 3, on scoped threads ([`pool`]); an ablation bench
-//!   quantifies the cost of that extra scan.
+//! * [`LevelStrategy::Faithful`] — the paper-literal variant on the same
+//!   [`persistent`] pool: each worker owns a fixed, even chunk of the σ
+//!   row-major entries, computes their digit sums `d_i` once (Lines 4–8),
+//!   and on every level scans its chunk for `d_i = l`, exactly like Lines
+//!   11–12 of Algorithm 3; an ablation bench quantifies the cost of that
+//!   extra scan.
 //!
 //! Both produce bit-identical tables to the serial engine; the tests assert
-//! it.
+//! it. [`SpeculativePtas`] (an extension) runs the shared `chassis::drive`
+//! bisection in `w`-ary rounds over the same engine.
 //!
 //! Shared-memory accesses (fork/join handoffs, the table scatter/gather)
 //! flow through the [`sync`] seam: zero-cost passthroughs normally, and —
@@ -33,18 +36,41 @@
 
 pub mod metrics;
 pub mod persistent;
-pub mod pool;
 pub mod simd;
 pub mod speculative;
 pub mod sync;
 pub mod wavefront;
 
-pub use pool::effective_threads;
 pub use speculative::SpeculativePtas;
 pub use wavefront::{CellKernel, Chunking, LevelStrategy, ParallelDp};
 
 use pcmax_core::{Result, SolveReport, SolveRequest, Solver};
 use pcmax_ptas::Ptas;
+
+/// Resolves a configured worker count: `None` means all available cores,
+/// explicit values are clamped to at least 1.
+pub fn effective_threads(threads: Option<usize>) -> usize {
+    match threads {
+        Some(t) => t.max(1),
+        None => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+    }
+}
+
+/// `ptas` re-pinned to a request-level thread count, which overrides the
+/// construction-time pinning; `None` when the request names none.
+fn repinned(ptas: &Ptas<ParallelDp>, threads: Option<usize>) -> Result<Option<Ptas<ParallelDp>>> {
+    threads
+        .map(|threads| {
+            let dp = ParallelDp {
+                threads: Some(threads),
+                ..*ptas.engine()
+            };
+            Ptas::with_engine(ptas.params().epsilon, dp)
+        })
+        .transpose()
+}
 
 /// The parallel PTAS: the sequential bisection driver with the wavefront DP
 /// as its inner solver — the composition the paper evaluates.
@@ -81,29 +107,9 @@ impl Solver for ParallelPtas {
     }
 
     fn solve(&self, req: &SolveRequest<'_>) -> Result<SolveReport> {
-        match req.threads {
-            // A request-level thread count overrides the construction-time
-            // pinning: rebuild the driver around a re-pinned wavefront DP.
-            Some(threads) => {
-                let dp = ParallelDp {
-                    threads: Some(threads),
-                    ..*self.inner.engine()
-                };
-                let repinned = Ptas::with_engine(self.inner.params().epsilon, dp)?;
-                let (out, stats) = repinned.solve_with(req)?;
-                Ok(SolveReport {
-                    makespan: out.schedule.makespan(req.instance),
-                    schedule: out.schedule,
-                    certified_target: Some(out.target),
-                    proven_optimal: false,
-                    stats,
-                })
-            }
-            None => {
-                let report = self.inner.solve(req)?;
-                Ok(report)
-            }
-        }
+        let pinned = repinned(&self.inner, req.threads)?;
+        let (out, stats) = pinned.as_ref().unwrap_or(&self.inner).solve_with(req)?;
+        Ok(out.into_report(req.instance, stats))
     }
 }
 
@@ -155,6 +161,13 @@ mod tests {
             assert_eq!(pinned.makespan, default.makespan, "threads = {threads}");
             assert_eq!(pinned.certified_target, default.certified_target);
         }
+    }
+
+    #[test]
+    fn effective_threads_clamps_and_defaults() {
+        assert_eq!(effective_threads(Some(0)), 1);
+        assert_eq!(effective_threads(Some(3)), 3);
+        assert!(effective_threads(None) >= 1);
     }
 
     #[test]

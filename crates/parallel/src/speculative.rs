@@ -4,8 +4,11 @@
 //! bisection itself sequential. When the DP tables are small (short jobs,
 //! few classes), per-level parallelism is starved; a complementary source of
 //! parallelism is to probe **several candidate targets concurrently** each
-//! round (`w`-ary search instead of binary). Soundness is unchanged because
-//! the bracket updates rest on the same one-sided proofs as binary search:
+//! round (`w`-ary search instead of binary). [`SpeculativePtas`] is the
+//! parallel PTAS run through the shared `pcmax_ptas::chassis::drive` loop at
+//! width `w`: each round probes `w` evenly spread targets plus the
+//! midpoint, one lane per target. Soundness is unchanged because the
+//! bracket updates rest on the same one-sided proofs as binary search:
 //!
 //! * an infeasible probe at `t` proves `OPT > t` (rounded sizes never exceed
 //!   originals), so the lower end can jump past the largest infeasible
@@ -16,42 +19,31 @@
 //! The converged target may differ from plain bisection's by the usual
 //! rounding non-monotonicity of the dual-approximation framework, but it
 //! carries the identical `(1+ε)` guarantee. With `width = 1` this *is*
-//! binary search.
+//! binary search (Alg. 1), probe for probe. Because the loop is the shared
+//! driver, the profile cache, the scratch reuse and the stats and metrics
+//! accounting are the same as for every other PTAS.
 
-use crate::pool;
-use crate::wavefront::ParallelDp;
+use crate::{repinned, ParallelDp};
 use pcmax_core::{
-    Error, Instance, MakespanBounds, Result, Schedule, SolveReport, SolveRequest, SolveStats,
-    Solver, Time,
+    Instance, MakespanBounds, Result, Schedule, SolveReport, SolveRequest, SolveStats, Solver, Time,
 };
-use pcmax_ptas::config::Config;
-use pcmax_ptas::dp::DpProblem;
-use pcmax_ptas::driver::reconstruct;
-use pcmax_ptas::rounding::{JobPartition, RoundedLongJobs};
-use pcmax_ptas::space::SpaceEngine;
-use pcmax_ptas::table::DpScratch;
-use pcmax_ptas::{rounded_problem, EpsilonParams};
-use std::time::Instant;
+use pcmax_ptas::chassis::drive;
+use pcmax_ptas::{Ptas, PtasOutput};
 
 /// The speculative-bisection parallel PTAS.
 #[derive(Debug, Clone)]
 pub struct SpeculativePtas {
-    params: EpsilonParams,
+    inner: Ptas<ParallelDp>,
     /// Candidate targets probed concurrently per round (`≥ 1`).
     pub width: usize,
-    max_entries: usize,
 }
-
-/// A feasible probe's payload: configs, rounding, partition, target.
-type Witness = (Vec<Config>, RoundedLongJobs, JobPartition, Time);
 
 impl SpeculativePtas {
     /// Speculative PTAS probing `width` targets per round.
     pub fn new(epsilon: f64, width: usize) -> Result<Self> {
         Ok(Self {
-            params: EpsilonParams::new(epsilon)?,
+            inner: Ptas::with_engine(epsilon, ParallelDp::default())?,
             width: width.max(1),
-            max_entries: DpProblem::DEFAULT_MAX_ENTRIES,
         })
     }
 
@@ -71,168 +63,15 @@ impl SpeculativePtas {
     /// Full solve, returning the schedule, the certified target and the
     /// number of probe rounds executed.
     pub fn solve_detailed(&self, inst: &Instance) -> Result<(Schedule, Time, u32)> {
-        self.run(&SolveRequest::new(inst))
-            .map(|(schedule, target, rounds, _)| (schedule, target, rounds))
+        let (out, _) = self.solve_with(&SolveRequest::new(inst))?;
+        Ok((out.schedule, out.target, out.log.rounds))
     }
 
-    /// Probes all `candidates` concurrently (one scoped thread each, each
-    /// with a private scratch arena), merging the scratch counters into the
-    /// run's stats.
-    fn probe_round(
-        &self,
-        req: &SolveRequest<'_>,
-        candidates: &[Time],
-        stats: &mut SolveStats,
-    ) -> Result<Vec<(Time, Option<Witness>)>> {
-        let inst = req.instance;
-        let dp = ParallelDp {
-            threads: req.threads,
-            ..ParallelDp::default()
-        };
-        let probes = pool::map_chunked(candidates.len().max(1), candidates, |&t| {
-            let _probe_span = req.trace_span("probe", t);
-            let (problem, rounded, partition) =
-                rounded_problem(inst, &self.params, t, self.max_entries);
-            let mut scratch = DpScratch::new();
-            let outcome = dp.solve_in(&problem, &mut scratch)?;
-            let witness = outcome
-                .schedule
-                .map(|configs| (configs, rounded, partition, t));
-            Ok::<_, Error>((t, witness, scratch))
-        });
-        let mut out = Vec::with_capacity(probes.len());
-        for probe in probes {
-            let (t, witness, scratch) = probe?;
-            stats.dp_entries_touched += scratch.entries_touched;
-            stats.dp_tables_allocated += scratch.tables_allocated;
-            stats.dp_tables_reused += scratch.tables_reused;
-            stats.bisection_probes += 1;
-            out.push((t, witness));
-        }
-        Ok(out)
-    }
-
-    /// Budget gate evaluated between rounds.
-    fn check_budget(
-        &self,
-        req: &SolveRequest<'_>,
-        stats: &SolveStats,
-        lower: Time,
-        upper: Time,
-    ) -> Result<()> {
-        req.check_cancelled()?;
-        let entries_exhausted = req
-            .budget
-            .entry_limit
-            .is_some_and(|limit| stats.dp_entries_touched >= limit as u64);
-        if req.budget.deadline_exceeded() || entries_exhausted {
-            return Err(Error::BudgetExhausted {
-                incumbent: upper,
-                lower_bound: lower,
-            });
-        }
-        Ok(())
-    }
-
-    /// Full solve under an engine request: cancellation and budget are
-    /// checked between probe rounds; the returned stats account every
-    /// concurrent probe of every round.
-    pub fn run(&self, req: &SolveRequest<'_>) -> Result<(Schedule, Time, u32, SolveStats)> {
-        let inst = req.instance;
-        let run_start = Instant::now();
-        let mut stats = SolveStats::default();
-        req.check_cancelled()?;
-        if inst.jobs() == 0 {
-            stats.wall = run_start.elapsed();
-            let schedule = Schedule::from_assignment(vec![], inst.machines())?;
-            return Ok((schedule, 0, 0, stats));
-        }
-        let MakespanBounds {
-            mut lower,
-            mut upper,
-        } = MakespanBounds::of(inst);
-        let mut best: Option<Witness> = None;
-        let mut rounds = 0u32;
-
-        let search_start = Instant::now();
-        let search_span = req.trace_span("speculative-search", 0);
-        while lower < upper {
-            self.check_budget(req, &stats, lower, upper)?;
-            rounds += 1;
-            // Candidates strictly inside [lower, upper), always including
-            // the midpoint so each round at least halves the bracket.
-            let span = upper - lower;
-            let mut candidates: Vec<Time> = (1..=self.width as Time)
-                .map(|i| lower + span * i / (self.width as Time + 1))
-                .collect();
-            candidates.push((lower + upper) / 2);
-            candidates.sort_unstable();
-            candidates.dedup();
-            candidates.retain(|&t| t >= lower && t < upper);
-            if candidates.is_empty() {
-                candidates.push(lower);
-            }
-
-            let probes = self.probe_round(req, &candidates, &mut stats)?;
-
-            let mut feasible_min: Option<Witness> = None;
-            let mut infeasible_max: Option<Time> = None;
-            for (t, witness) in probes {
-                match witness {
-                    Some(w) => {
-                        if feasible_min.as_ref().is_none_or(|f| t < f.3) {
-                            feasible_min = Some(w);
-                        }
-                    }
-                    None => {
-                        if infeasible_max.is_none_or(|x| t > x) {
-                            infeasible_max = Some(t);
-                        }
-                    }
-                }
-            }
-            if let Some(w) = feasible_min {
-                upper = w.3;
-                best = Some(w);
-            }
-            if let Some(t) = infeasible_max {
-                if t + 1 > lower && t < upper {
-                    lower = t + 1;
-                }
-            }
-        }
-
-        let (configs, rounded, partition, target) = match best {
-            Some(b) if b.3 == upper => b,
-            _ => {
-                // Zero-width bracket or the converged value was never probed
-                // feasible: certify it directly (always feasible, see the
-                // bisection invariant in pcmax-ptas).
-                self.check_budget(req, &stats, lower, upper)?;
-                let mut probes = self.probe_round(req, &[upper], &mut stats)?;
-                let (_, witness) = probes.pop().ok_or_else(|| Error::InvalidWitness {
-                    reason: "probe round returned no result for the converged target".into(),
-                })?;
-                let (configs, rounded, partition, t) =
-                    witness.ok_or_else(|| Error::InvalidWitness {
-                        reason: format!(
-                            "converged target {upper} probed infeasible, breaking the \
-                             bracket invariant"
-                        ),
-                    })?;
-                (configs, rounded, partition, t)
-            }
-        };
-        drop(search_span);
-        stats.push_phase("speculative-search", search_start.elapsed());
-
-        let recon_start = Instant::now();
-        let recon_span = req.trace_span("reconstruct", 0);
-        let schedule = reconstruct(inst, &configs, &rounded, &partition)?;
-        drop(recon_span);
-        stats.push_phase("reconstruct", recon_start.elapsed());
-        stats.wall = run_start.elapsed();
-        Ok((schedule, target, rounds, stats))
+    /// Full solve under an engine request, on the wavefront DP re-pinned to
+    /// the request's thread count when it names one.
+    pub fn solve_with(&self, req: &SolveRequest<'_>) -> Result<(PtasOutput, SolveStats)> {
+        let pinned = repinned(&self.inner, req.threads)?;
+        drive(pinned.as_ref().unwrap_or(&self.inner), req, self.width)
     }
 }
 
@@ -242,22 +81,15 @@ impl Solver for SpeculativePtas {
     }
 
     fn solve(&self, req: &SolveRequest<'_>) -> Result<SolveReport> {
-        let (schedule, target, _rounds, stats) = self.run(req)?;
-        Ok(SolveReport {
-            makespan: schedule.makespan(req.instance),
-            schedule,
-            certified_target: Some(target),
-            proven_optimal: false,
-            stats,
-        })
+        let (out, stats) = self.solve_with(req)?;
+        Ok(out.into_report(req.instance, stats))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcmax_core::lower_bound;
-    use pcmax_ptas::Ptas;
+    use pcmax_core::{lower_bound, Error};
 
     fn instance() -> Instance {
         Instance::new(
@@ -271,12 +103,15 @@ mod tests {
     fn width_one_matches_plain_bisection() {
         let inst = instance();
         let seq = Ptas::new(0.3).unwrap().solve_detailed(&inst).unwrap();
-        let (schedule, target, _) = SpeculativePtas::new(0.3, 1)
+        let (spec, _) = SpeculativePtas::new(0.3, 1)
             .unwrap()
-            .solve_detailed(&inst)
+            .solve_with(&SolveRequest::new(&inst))
             .unwrap();
-        assert_eq!(target, seq.target);
-        assert_eq!(schedule.makespan(&inst), seq.schedule.makespan(&inst));
+        assert_eq!(spec.target, seq.target);
+        assert_eq!(spec.schedule.makespan(&inst), seq.schedule.makespan(&inst));
+        // Probe by probe: same targets, same verdicts, same order.
+        assert_eq!(spec.log.probes, seq.log.probes);
+        assert_eq!(spec.log.rounds, seq.log.rounds);
     }
 
     #[test]
@@ -345,12 +180,26 @@ mod tests {
     #[test]
     fn solver_report_accounts_every_probe() {
         let inst = instance();
-        let algo = SpeculativePtas::new(0.3, 3).unwrap();
+        let width = 3;
+        let algo = SpeculativePtas::new(0.3, width).unwrap();
         let report = algo.solve(&SolveRequest::new(&inst)).unwrap();
+        let stats = &report.stats;
         assert_eq!(report.makespan, report.schedule.makespan(&inst));
-        assert!(report.stats.bisection_probes >= 1);
-        assert!(report.stats.dp_entries_touched > 0);
+        assert!(stats.bisection_probes >= 1);
+        assert!(stats.dp_entries_touched > 0);
         assert!(report.certified_target.is_some());
+        // Every lane's wavefront is counted, not just the probe tally.
+        assert!(stats.dp_cells > 0 && stats.dp_levels_swept > 0, "{stats:?}");
+        assert_eq!(stats.pool_parks, stats.pool_wakes);
+        // One run-long arena per lane (a round probes at most width + 1
+        // targets), not one table per probe.
+        let lanes = width as u64 + 1;
+        assert!(
+            stats.dp_tables_allocated <= lanes,
+            "{} tables for {lanes} lanes",
+            stats.dp_tables_allocated
+        );
+        assert!(stats.bisection_probes > lanes, "more probes than lanes");
     }
 
     #[test]
@@ -361,6 +210,6 @@ mod tests {
         cancel.cancel();
         let req = SolveRequest::new(&inst).with_cancel(cancel);
         let algo = SpeculativePtas::new(0.3, 2).unwrap();
-        assert!(matches!(algo.run(&req), Err(Error::Cancelled)));
+        assert!(matches!(algo.solve_with(&req), Err(Error::Cancelled)));
     }
 }

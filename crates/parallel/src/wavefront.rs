@@ -9,10 +9,11 @@
 //! `pcmax_ptas::LevelLayout`) so the scatter is a **parallel in-place
 //! write** over disjoint sub-slices, and an incremental in-level decode
 //! (`next_in_level`) so no per-cell `Vec` is ever allocated. The
-//! paper-literal [`LevelStrategy::Faithful`] scan is the other strategy.
+//! paper-literal [`LevelStrategy::Faithful`] scan is the other strategy, on
+//! the same pool.
 
 use crate::persistent::{self, Level};
-use crate::{pool, simd, sync};
+use crate::{simd, sync};
 use pcmax_ptas::config::Config;
 use pcmax_ptas::dp::fits;
 use pcmax_ptas::space::{serial_sweep, PcmaxSpace, SpaceEngine, StateSpace};
@@ -130,7 +131,7 @@ impl SpaceEngine for ParallelDp {
         // Rank 0 is the sole level-0 entry, stored at position 0 under both
         // layouts, so this seed write is layout-agnostic.
         table.values[0] = 0;
-        let threads = pool::effective_threads(self.threads);
+        let threads = crate::effective_threads(self.threads);
         match self.strategy {
             LevelStrategy::Bucketed => bucketed_sweep_space_with(
                 table,
@@ -583,23 +584,29 @@ pub fn bucketed_sweep_space_with<S: StateSpace>(
                 kb.prepare(k, tile_cells);
                 // One ISA dispatch per chunk: on an AVX2 CPU running a
                 // baseline build, the whole tile walk re-enters through the
-                // `target_feature` trampoline and the lane loops widen.
-                simd::dispatch(|| {
-                    strip_chunk(
-                        space,
-                        transitions,
-                        cells,
-                        kb,
-                        dims,
-                        strides,
-                        perm,
-                        inv,
-                        tile_cells,
-                        span.start,
-                        lo,
-                        hi,
-                    )
-                });
+                // `target_feature` trampoline and the lane loops widen. The
+                // closure is forced inline: the widening only happens if the
+                // tile walk is codegenned inside the trampoline, and the
+                // inliner's own choice flips with unrelated code changes.
+                simd::dispatch(
+                    #[inline(always)]
+                    || {
+                        strip_chunk(
+                            space,
+                            transitions,
+                            cells,
+                            kb,
+                            dims,
+                            strides,
+                            perm,
+                            inv,
+                            tile_cells,
+                            span.start,
+                            lo,
+                            hi,
+                        )
+                    },
+                );
             }
             CellKernel::Scalar => scalar_chunk(
                 space,
@@ -869,17 +876,19 @@ fn strip_chunk<S: StateSpace>(
 /// level barrier. The `debug_assert!` states it; the audit race detector
 /// verifies it dynamically against the recorded schedule.
 #[inline]
-fn value_of<S: StateSpace>(table: &DpTable, space: &S, idx: usize, v: &[u32]) -> u16 {
+fn value_of<S: StateSpace>(cells: &[SyncCell], space: &S, idx: usize, v: &[u32]) -> u16 {
     let mut best = INFEASIBLE;
     for (t_idx, (c, offset)) in space.transitions().iter().enumerate() {
         if fits(c, v) {
             debug_assert!(
-                *offset > 0 && table.level_of(idx - offset) < table.level_of(idx),
+                *offset > 0 && c.iter().any(|&ci| ci > 0),
                 "wavefront read {} must target a strictly lower anti-diagonal than {idx}",
                 idx - offset
             );
             sync::trace_read(idx - offset);
-            let below = table.values[idx - offset];
+            // SAFETY: `v − c` lies on a strictly lower, barrier-sealed level
+            // (see above), so no write to this cell can be concurrent.
+            let below = unsafe { cells[idx - offset].get() };
             if space.step_allowed(t_idx, below) {
                 best = best.min(below);
             }
@@ -888,37 +897,66 @@ fn value_of<S: StateSpace>(table: &DpTable, space: &S, idx: usize, v: &[u32]) ->
     best.saturating_add(1)
 }
 
-/// The paper-literal sweep: compute the digit-sum array `D` in parallel
-/// (Lines 4–8), then for each level scan all σ entries and process those on
-/// the level (Lines 10–25).
+/// One faithful worker's state for a sweep: the digit sums `D` of its
+/// chunk, computed on its first level and kept, and a decode buffer.
+#[derive(Clone, Default)]
+struct FaithfulLane {
+    d: Option<Vec<u32>>,
+    digits: Vec<u32>,
+}
+
+/// The paper-literal sweep on the persistent pool: worker `w` owns the
+/// fixed chunk `w·⌈σ/n⌉..` of the row-major entries, computes its part of
+/// the digit-sum array `D` on its first level (Lines 4–8), and on every
+/// level `l` scans its chunk, keeps the entries with `d_i = l` (Lines
+/// 11–12) and writes their values in place (Lines 13–25). Chunks are
+/// disjoint, so every cell has one writer; reads hit lower, sealed levels.
 fn faithful_sweep_space<S: StateSpace>(
     table: &mut DpTable,
     space: &S,
     threads: usize,
     scratch: &mut DpScratch,
 ) {
-    // Lines 4-8: d_i = digit sum of v^i, computed in parallel.
-    let d: Vec<u32> = pool::map_range(threads, table.len, |idx| table.decode(idx).iter().sum());
     let levels = table.levels();
-    for l in 1..levels {
-        let _level_span = pcmax_trace::span("level", l as u64);
-        let results = pool::filter_map_range(threads, table.len, |idx| {
-            (d[idx] == l).then(|| {
-                let v = table.decode(idx);
-                (idx, value_of(table, space, idx, &v))
-            })
+    let len = table.len;
+    let n = threads.min(len).max(1);
+    let chunk = len.div_ceil(n);
+    let strides = &table.strides;
+    let cells = shared_cells(&mut table.values);
+    let kernel = |w: usize, level: Level, lane: &mut FaithfulLane| {
+        let chunk_range = (w * chunk).min(len)..((w + 1) * chunk).min(len);
+        let FaithfulLane { d, digits } = lane;
+        let d = d.get_or_insert_with(|| {
+            chunk_range
+                .clone()
+                .map(|idx| {
+                    decode_into(idx, strides, digits);
+                    digits.iter().sum()
+                })
+                .collect()
         });
-        debug_assert!(
-            results.windows(2).all(|w| w[0].0 < w[1].0),
-            "faithful level scatter indices must be pairwise disjoint"
-        );
-        for (idx, val) in results {
+        for (idx, &d_idx) in chunk_range.zip(d.iter()) {
+            if d_idx != level.index {
+                continue;
+            }
+            decode_into(idx, strides, digits);
+            let value = value_of(cells, space, idx, digits);
             sync::trace_write(idx);
-            table.values[idx] = val;
+            // SAFETY: `idx` lies in this worker's chunk, and chunks are
+            // disjoint — the unique writer precondition.
+            unsafe { cells[idx].set(value) };
         }
-    }
+    };
+    let (_, counters) = persistent::run_levels(
+        vec![FaithfulLane::default(); n],
+        1..levels,
+        &mut |_| true,
+        kernel,
+    );
     scratch.levels_swept += levels.saturating_sub(1) as u64;
-    scratch.cells_computed += (table.len - 1) as u64;
+    scratch.cells_computed += (len - 1) as u64;
+    scratch.pool_parks += counters.parks;
+    scratch.pool_wakes += counters.wakes;
 }
 
 #[cfg(test)]

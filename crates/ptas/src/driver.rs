@@ -28,8 +28,12 @@ pub struct BisectionProbe {
 /// Full record of a bisection run, for tests, the harness and the examples.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BisectionLog {
-    /// Probes in execution order.
+    /// Probes in execution order (ascending target within a round).
     pub probes: Vec<BisectionProbe>,
+    /// Bisection rounds run. The re-probe that certifies the converged
+    /// target is not a round, so at width 1 this is the probe count minus
+    /// that re-probe, if any.
+    pub rounds: u32,
 }
 
 impl BisectionLog {
@@ -49,6 +53,20 @@ pub struct PtasOutput {
     pub target: Time,
     /// Bisection history.
     pub log: BisectionLog,
+}
+
+impl PtasOutput {
+    /// The engine-facing report of this run: `T*` certified, never proven
+    /// optimal.
+    pub fn into_report(self, inst: &Instance, stats: SolveStats) -> SolveReport {
+        SolveReport {
+            makespan: self.schedule.makespan(inst),
+            schedule: self.schedule,
+            certified_target: Some(self.target),
+            proven_optimal: false,
+            stats,
+        }
+    }
 }
 
 /// The Hochbaum–Shmoys PTAS with a pluggable DP engine.
@@ -112,10 +130,11 @@ impl<E: SpaceEngine> Ptas<E> {
     /// entries, table (re)allocations and per-phase wall time.
     ///
     /// This is the [`Scenario`] instantiation of the generic
-    /// [`drive`](crate::chassis::drive) loop — the bisection itself is
-    /// shared with every other scenario on the chassis.
+    /// [`drive`](crate::chassis::drive) loop at width 1 (Alg. 1's binary
+    /// search) — the bisection itself is shared with every other scenario
+    /// on the chassis.
     pub fn solve_with(&self, req: &SolveRequest<'_>) -> Result<(PtasOutput, SolveStats)> {
-        crate::chassis::drive(self, req)
+        crate::chassis::drive(self, req, 1)
     }
 }
 
@@ -190,20 +209,14 @@ impl<E: SpaceEngine> Scenario for Ptas<E> {
     }
 }
 
-impl<E: SpaceEngine + Send + Sync> Solver for Ptas<E> {
+impl<E: SpaceEngine + Send> Solver for Ptas<E> {
     fn solver_name(&self) -> &'static str {
         "PTAS"
     }
 
     fn solve(&self, req: &SolveRequest<'_>) -> Result<SolveReport> {
         let (out, stats) = self.solve_with(req)?;
-        Ok(SolveReport {
-            makespan: out.schedule.makespan(req.instance),
-            schedule: out.schedule,
-            certified_target: Some(out.target),
-            proven_optimal: false,
-            stats,
-        })
+        Ok(out.into_report(req.instance, stats))
     }
 }
 
@@ -234,8 +247,8 @@ pub fn rounded_problem(
 
 /// Lines 31–51 of Algorithm 1: replace each rounded job by an original long
 /// job of the matching class, then place the short jobs with LPT on the
-/// resulting loads. Public so alternative bisection drivers (e.g.
-/// `pcmax_parallel::SpeculativePtas`) can share the reconstruction.
+/// resulting loads. Public so a harness can time the reconstruction of a
+/// witness it probed itself.
 pub fn reconstruct(
     inst: &Instance,
     configs: &[Config],

@@ -194,8 +194,9 @@ impl StateSpace for QSpace<'_> {
 /// [`level_major`](SpaceEngine::level_major).
 ///
 /// Not object-safe (the sweep is generic over the space): callers that
-/// iterate over engines use closures or function pointers.
-pub trait SpaceEngine {
+/// iterate over engines use closures or function pointers. `Sync`, because
+/// a wide `chassis::drive` round shares one engine across its lanes.
+pub trait SpaceEngine: Sync {
     /// Stable name for harness output.
     fn engine_name(&self) -> &'static str;
 

@@ -135,7 +135,7 @@ impl<E: SpaceEngine> QPtas<E> {
     /// Runs the full solve under an engine request (cancellation, budget,
     /// tracing) through the shared chassis driver.
     pub fn solve_with(&self, req: &SolveRequest<'_>) -> Result<(PtasOutput, SolveStats)> {
-        crate::chassis::drive(self, req)
+        crate::chassis::drive(self, req, 1)
     }
 
     /// Machines sorted fastest-first (ties to the lowest original index):
@@ -314,20 +314,14 @@ impl<E: SpaceEngine> Scenario for QPtas<E> {
     }
 }
 
-impl<E: SpaceEngine + Send + Sync> Solver for QPtas<E> {
+impl<E: SpaceEngine + Send> Solver for QPtas<E> {
     fn solver_name(&self) -> &'static str {
         "PTAS-Q"
     }
 
     fn solve(&self, req: &SolveRequest<'_>) -> Result<SolveReport> {
         let (out, stats) = self.solve_with(req)?;
-        Ok(SolveReport {
-            makespan: out.schedule.makespan(req.instance),
-            schedule: out.schedule,
-            certified_target: Some(out.target),
-            proven_optimal: false,
-            stats,
-        })
+        Ok(out.into_report(req.instance, stats))
     }
 }
 
