@@ -15,14 +15,17 @@
 //!   `audit:allow(cast)` comment. Index truncation is precisely the bug
 //!   class that silently corrupts a wavefront table.
 //! * **`trace-hot`** — no trace hooks *or metric-recording calls* inside
-//!   the zero-allocation cell kernel's inner loop. In [`TRACE_HOT_FILES`],
-//!   a `for` loop whose body walks `next_in_level` is the per-cell hot
-//!   path: even a disabled hook's atomic load there multiplies by the cell
-//!   count, and an *enabled* metric's relaxed add is a guaranteed cache
-//!   ping on every cell. Spans belong *around* the walk (chunk/level
-//!   granularity) and metrics record per-chunk aggregates, never per cell;
-//!   override only with a justified `audit:allow(trace-hot)` comment.
-//! * **`alloc-hot`** — no allocation in the same inner loop: `.push(…)`,
+//!   the zero-allocation tile kernel's per-cell step. In
+//!   [`TRACE_HOT_FILES`], a `for` loop whose body names [`HOT_STEP`] (the
+//!   kernel's contiguous window load) is the strip loop, which advances 16
+//!   cells per iteration, and everything nested in it — the transition
+//!   loop, the lane-by-lane finish — is per-cell hot path: even a disabled
+//!   hook's atomic load there multiplies by the cell count, and an
+//!   *enabled* metric's relaxed add is a guaranteed cache ping on every
+//!   cell. Spans belong *around* the tile walk (chunk/level granularity)
+//!   and metrics record per-chunk aggregates, never per cell; override
+//!   only with a justified `audit:allow(trace-hot)` comment.
+//! * **`alloc-hot`** — no allocation in the same loops: `.push(…)`,
 //!   `.to_vec()`, `.collect()`, `.with_label(…)` (registry mutex +
 //!   `Box::leak` on first use), `Vec::new` / `Vec::with_capacity`,
 //!   `Box::new`, and the `format!` / `vec!` macros are all per-cell heap
@@ -64,15 +67,14 @@ pub const DP_CAST_FILES: &[&str] = &[
 /// Narrowing cast targets the `cast` rule rejects without justification.
 const NARROWING_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
 
-/// Repo-relative files subject to the `trace-hot` rule: where the
-/// zero-allocation cell kernel's `next_in_level` walk lives.
-pub const TRACE_HOT_FILES: &[&str] = &[
-    "crates/parallel/src/wavefront.rs",
-    "crates/ptas/src/table.rs",
-    "crates/ptas/src/space.rs",
-    "crates/ptas/src/uniform.rs",
-    "crates/ptas/src/chassis.rs",
-];
+/// Repo-relative files subject to the `trace-hot` and `alloc-hot` rules:
+/// where the zero-allocation tile kernel lives.
+pub const TRACE_HOT_FILES: &[&str] = &["crates/parallel/src/wavefront.rs"];
+
+/// The identifier that marks the tile kernel's per-cell step: its
+/// contiguous window load. A `for` loop whose body names it is the strip
+/// loop, and the hot rules cover it and every loop nested inside it.
+pub const HOT_STEP: &str = "load_window";
 
 /// Identifiers that emit trace events or record metrics — the
 /// free-function hooks of `pcmax-trace`, the request-level sinks of
@@ -93,8 +95,8 @@ const TRACE_HOOKS: &[&str] = &[
     "observe",
 ];
 
-/// Allocating methods the `alloc-hot` rule rejects in the cell kernel's
-/// inner loop. `with_label` is the metric-family child lookup: a registry
+/// Allocating methods the `alloc-hot` rule rejects in the tile kernel's
+/// strip loop. `with_label` is the metric-family child lookup: a registry
 /// mutex plus a `Box::leak` on first use — resolve children once per
 /// sweep, outside the walk.
 const ALLOC_METHODS: &[&str] = &["push", "to_vec", "collect", "with_label"];
@@ -547,19 +549,27 @@ fn for_loop_bodies(toks: &[crate::lexer::Token]) -> Vec<(usize, usize)> {
     bodies
 }
 
-/// Rule `trace-hot`: no trace hooks inside a `for` loop that walks
-/// `next_in_level` — the per-cell kernel where even a disabled hook's
-/// atomic load multiplies by the cell count. A hook is judged against the
-/// *innermost* enclosing loop, so chunk/level spans wrapped around the walk
+/// Whether token `w` sits inside a `for` body that names [`HOT_STEP`] —
+/// the tile kernel's strip loop, or any loop nested in it. Loops around
+/// the tile walk that do not name the step themselves (the level and tile
+/// loops) stay cold.
+fn in_hot_loop(toks: &[crate::lexer::Token], bodies: &[(usize, usize)], w: usize) -> bool {
+    bodies.iter().any(|&(open, close)| {
+        open < w
+            && w < close
+            && toks[open..close]
+                .iter()
+                .any(|t| matches!(&t.tok, Tok::Ident(s) if s == HOT_STEP))
+    })
+}
+
+/// Rule `trace-hot`: no trace hooks inside the tile kernel's strip loop
+/// (see [`in_hot_loop`]), where even a disabled hook's atomic load
+/// multiplies by the cell count. Chunk/level spans around the tile walk
 /// stay legal.
 fn check_trace_hot(path: &str, lexed: &Lexed, exempt: &[(u32, u32)], report: &mut FileReport) {
     let toks = &lexed.tokens;
     let bodies = for_loop_bodies(toks);
-    let body_has = |&(open, close): &(usize, usize), name: &str| {
-        toks[open..close]
-            .iter()
-            .any(|t| matches!(&t.tok, Tok::Ident(s) if s == name))
-    };
     for w in 0..toks.len() {
         let Tok::Ident(name) = &toks[w].tok else {
             continue;
@@ -571,15 +581,7 @@ fn check_trace_hot(path: &str, lexed: &Lexed, exempt: &[(u32, u32)], report: &mu
         if toks.get(w + 1).map(|t| &t.tok) != Some(&Tok::Punct('(')) {
             continue;
         }
-        // Innermost enclosing for-loop body, by tightest token range.
-        let Some(innermost) = bodies
-            .iter()
-            .filter(|&&(open, close)| open < w && w < close)
-            .min_by_key(|&&(open, close)| close - open)
-        else {
-            continue;
-        };
-        if !body_has(innermost, "next_in_level") {
+        if !in_hot_loop(toks, &bodies, w) {
             continue;
         }
         let line = toks[w].line;
@@ -599,26 +601,20 @@ fn check_trace_hot(path: &str, lexed: &Lexed, exempt: &[(u32, u32)], report: &mu
                 line,
                 rule: "trace-hot",
                 message: format!(
-                    "trace/metric hook `{name}` inside the `next_in_level` cell-kernel \
-                     loop; move it to chunk/level granularity outside the walk"
+                    "trace/metric hook `{name}` inside the tile kernel's strip loop; \
+                     move it to chunk/level granularity outside the tile walk"
                 ),
             }),
         }
     }
 }
 
-/// Rule `alloc-hot`: no heap allocation inside the `next_in_level`
-/// cell-kernel loop. Shares the loop scoping of [`check_trace_hot`]: a
-/// candidate is judged against its *innermost* enclosing `for` body, so
-/// per-level buffer setup outside the walk stays legal.
+/// Rule `alloc-hot`: no heap allocation inside the tile kernel's strip
+/// loop. Shares the loop scoping of [`check_trace_hot`] ([`in_hot_loop`]),
+/// so per-sweep buffer setup outside the tile walk stays legal.
 fn check_alloc_hot(path: &str, lexed: &Lexed, exempt: &[(u32, u32)], report: &mut FileReport) {
     let toks = &lexed.tokens;
     let bodies = for_loop_bodies(toks);
-    let body_has = |&(open, close): &(usize, usize), name: &str| {
-        toks[open..close]
-            .iter()
-            .any(|t| matches!(&t.tok, Tok::Ident(s) if s == name))
-    };
     // (token index, line, human-readable description) of each allocation.
     let mut sites: Vec<(usize, u32, String)> = Vec::new();
     for w in 0..toks.len() {
@@ -661,14 +657,7 @@ fn check_alloc_hot(path: &str, lexed: &Lexed, exempt: &[(u32, u32)], report: &mu
         }
     }
     for (w, line, what) in sites {
-        let Some(innermost) = bodies
-            .iter()
-            .filter(|&&(open, close)| open < w && w < close)
-            .min_by_key(|&&(open, close)| close - open)
-        else {
-            continue;
-        };
-        if !body_has(innermost, "next_in_level") {
+        if !in_hot_loop(toks, &bodies, w) {
             continue;
         }
         if in_ranges(exempt, line) {
@@ -687,9 +676,9 @@ fn check_alloc_hot(path: &str, lexed: &Lexed, exempt: &[(u32, u32)], report: &mu
                 line,
                 rule: "alloc-hot",
                 message: format!(
-                    "`{what}` allocates inside the `next_in_level` cell-kernel loop; \
-                     reserve buffers outside the walk (the kernel is zero-allocation \
-                     by contract)"
+                    "`{what}` allocates inside the tile kernel's strip loop; \
+                     reserve buffers outside the tile walk (the kernel is \
+                     zero-allocation by contract)"
                 ),
             }),
         }
@@ -966,7 +955,7 @@ fn f(x: usize) -> u32 {
 fn kernel(lo: usize, hi: usize) {
     for p in lo..hi {
         pcmax_trace::instant(\"cell\", p as u64);
-        let q = next_in_level(p);
+        let q = load_window(p);
     }
 }";
         let rep = lint_source("crates/parallel/src/wavefront.rs", src, &no_allow());
@@ -981,13 +970,13 @@ fn kernel(lo: usize, hi: usize) {
 fn kernel(w: usize, lo: usize, hi: usize) {
     let _chunk_span = pcmax_trace::span(\"chunk\", w as u64);
     for p in lo..hi {
-        let q = next_in_level(p);
+        let q = load_window(p);
     }
 }";
         let rep = lint_source("crates/parallel/src/wavefront.rs", src, &no_allow());
         assert!(rep.violations.is_empty(), "{:?}", rep.violations);
 
-        // Hooks in loops that do not walk next_in_level are fine.
+        // Hooks in loops that do not name the window load are fine.
         let cold = "
 fn sweep(levels: usize) {
     for l in 1..levels {
@@ -1002,7 +991,7 @@ fn sweep(levels: usize) {
 fn f(lo: usize, hi: usize) {
     for p in lo..hi {
         pcmax_trace::instant(\"cell\", 0);
-        next_in_level(p);
+        load_window(p);
     }
 }";
         let rep = lint_source("crates/foo/src/lib.rs", src_elsewhere, &no_allow());
@@ -1010,17 +999,16 @@ fn f(lo: usize, hi: usize) {
     }
 
     #[test]
-    fn trace_hot_respects_innermost_loop_and_justified_directives() {
-        // Outer loop contains the hot inner loop; a hook between them is
-        // judged against the *outer* loop, which has no direct walk tokens
-        // outside the inner one — but the walk ident is inside the outer
-        // range too, so only innermost-scoping keeps the level span legal.
+    fn trace_hot_covers_loops_around_the_step_and_honours_directives() {
+        // Outer loop contains the hot inner loop; a hook between them sits
+        // in a loop whose body names the window load, so it is on the
+        // per-cell path too.
         let nested = "
 fn sweep(levels: usize) {
     for l in 1..levels {
         let _level_span = pcmax_trace::span(\"level\", l as u64);
         for p in 0..10 {
-            next_in_level(p);
+            load_window(p);
         }
     }
 }";
@@ -1028,8 +1016,7 @@ fn sweep(levels: usize) {
         assert_eq!(
             rep.violations.len(),
             1,
-            "outer-loop hooks still sit on the per-level path when the walk \
-             is in the outer range: {:?}",
+            "a hook in a loop around the window load is flagged: {:?}",
             rep.violations
         );
 
@@ -1038,7 +1025,7 @@ fn kernel(lo: usize, hi: usize) {
     for p in lo..hi {
         // audit:allow(trace-hot): one-shot debug instant, removed before merge
         pcmax_trace::instant(\"cell\", p as u64);
-        next_in_level(p);
+        load_window(p);
     }
 }";
         let rep = lint_source("crates/parallel/src/wavefront.rs", justified, &no_allow());
@@ -1049,14 +1036,14 @@ fn kernel(lo: usize, hi: usize) {
     fn metric_recording_inside_the_cell_kernel_loop_is_flagged() {
         // `inc` / `inc_by` / `observe` are one relaxed add per call when
         // metrics are enabled — per-cell they dominate the kernel. All
-        // three must flag inside the walk.
+        // three must flag inside the strip loop.
         let src = "
 fn kernel(lo: usize, hi: usize) {
     for p in lo..hi {
         CELLS.inc();
         BYTES.inc_by(8);
         LATENCY.observe(p as u64);
-        next_in_level(p);
+        load_window(p);
     }
 }";
         let rep = lint_source("crates/parallel/src/wavefront.rs", src, &no_allow());
@@ -1068,12 +1055,12 @@ fn kernel(lo: usize, hi: usize) {
         );
 
         // The sanctioned pattern: aggregate per chunk, record outside the
-        // walk — one observe per chunk, not per cell.
+        // strip loop — one observe per chunk, not per cell.
         let per_chunk = "
 fn kernel(lo: usize, hi: usize) {
     CHUNK_CELLS.observe((hi - lo) as u64);
     for p in lo..hi {
-        next_in_level(p);
+        load_window(p);
     }
     CHUNK_DONE.inc();
 }";
@@ -1086,7 +1073,7 @@ fn kernel(lo: usize, hi: usize) {
 fn f(lo: usize, hi: usize) {
     for p in lo..hi {
         CELLS.inc();
-        next_in_level(p);
+        load_window(p);
     }
 }";
         let rep = lint_source("crates/foo/src/lib.rs", elsewhere, &no_allow());
@@ -1101,7 +1088,7 @@ fn f(lo: usize, hi: usize) {
 fn kernel(w: usize, lo: usize, hi: usize) {
     for p in lo..hi {
         BUSY.with_label(worker_label(w));
-        next_in_level(p);
+        load_window(p);
     }
 }";
         let rep = lint_source("crates/parallel/src/wavefront.rs", src, &no_allow());
@@ -1109,12 +1096,12 @@ fn kernel(w: usize, lo: usize, hi: usize) {
         assert_eq!(rep.violations[0].rule, "alloc-hot");
         assert!(rep.violations[0].message.contains("with_label"));
 
-        // Resolving the child once before the walk is the sanctioned fix.
+        // Resolving the child once before the loop is the sanctioned fix.
         let hoisted = "
 fn kernel(w: usize, lo: usize, hi: usize) {
     let busy = BUSY.with_label(worker_label(w));
     for p in lo..hi {
-        next_in_level(p);
+        load_window(p);
     }
 }";
         let rep = lint_source("crates/parallel/src/wavefront.rs", hoisted, &no_allow());
@@ -1127,12 +1114,12 @@ fn kernel(w: usize, lo: usize, hi: usize) {
 impl Walker for Kernel {
     fn visit(&self) {
         pcmax_trace::instant(\"setup\", 0);
-        let _ = next_in_level(0);
+        let _ = load_window(0);
     }
 }
 fn hrtb<F: for<'a> Fn(&'a u32)>(f: F) {
     pcmax_trace::instant(\"setup\", 0);
-    next_in_level(0);
+    load_window(0);
 }";
         let rep = lint_source("crates/parallel/src/wavefront.rs", src, &no_allow());
         assert!(rep.violations.is_empty(), "{:?}", rep.violations);
@@ -1144,7 +1131,7 @@ fn hrtb<F: for<'a> Fn(&'a u32)>(f: F) {
 fn kernel(lo: usize, hi: usize) {
     let mut out = Vec::new();
     for p in lo..hi {
-        out.push(next_in_level(p));
+        out.push(load_window(p));
         let copy = scratch.to_vec();
         let s = format!(\"cell {p}\");
         let boxed = Box::new(p);
@@ -1154,7 +1141,7 @@ fn kernel(lo: usize, hi: usize) {
         let rules: Vec<_> = rep.violations.iter().map(|v| v.rule).collect();
         assert_eq!(
             rules, ["alloc-hot"; 4],
-            "push/to_vec/format!/Box::new in the walk must all flag: {:?}",
+            "push/to_vec/format!/Box::new in the strip loop must all flag: {:?}",
             rep.violations
         );
         // `Vec::new` *outside* the loop (line 3) is the sanctioned pattern.
@@ -1162,17 +1149,17 @@ fn kernel(lo: usize, hi: usize) {
     }
 
     #[test]
-    fn alloc_hot_scopes_to_the_innermost_walk_loop_and_other_files() {
-        // Allocation in an outer loop whose *inner* loop walks is judged
-        // against the outer body — which still contains the walk ident, so
-        // per-level setup must sit outside any loop or carry a directive.
+    fn alloc_hot_scopes_to_loops_naming_the_step_and_other_files() {
+        // Buffer reuse without allocation in a loop around the strip loop
+        // is fine; an allocation there would be flagged, so per-level setup
+        // must sit outside any such loop or carry a directive.
         let per_level_setup = "
 fn sweep(levels: usize) {
     let mut buf = Vec::with_capacity(64);
     for l in 1..levels {
         buf.clear();
         for p in 0..10 {
-            next_in_level(p);
+            load_window(p);
         }
     }
 }";
@@ -1183,7 +1170,7 @@ fn sweep(levels: usize) {
         );
         assert!(rep.violations.is_empty(), "{:?}", rep.violations);
 
-        // Loops that never walk next_in_level may allocate freely.
+        // Loops that never name the window load may allocate freely.
         let cold = "
 fn collect_levels(levels: usize) -> Vec<usize> {
     let mut out = Vec::new();
@@ -1200,7 +1187,7 @@ fn collect_levels(levels: usize) -> Vec<usize> {
 fn f(lo: usize, hi: usize) {
     for p in lo..hi {
         let v = vec![p];
-        next_in_level(p);
+        load_window(p);
     }
 }";
         let rep = lint_source("crates/foo/src/lib.rs", hot_elsewhere, &no_allow());
@@ -1212,11 +1199,77 @@ fn kernel(lo: usize, hi: usize) {
     for p in lo..hi {
         // audit:allow(alloc-hot): one-shot diagnostic buffer, cold path
         let v = vec![p];
-        next_in_level(p);
+        load_window(p);
     }
 }";
         let rep = lint_source("crates/parallel/src/wavefront.rs", justified, &no_allow());
         assert!(rep.violations.is_empty(), "{:?}", rep.violations);
+    }
+
+    #[test]
+    fn hooks_and_pushes_in_the_tile_kernel_shape_are_flagged() {
+        // The tile kernel's shape: a strip loop whose transition loop loads
+        // windows, then a lane-by-lane finish nested beside it. A `.push`
+        // in the strip loop and a hook in the nested lane loop (which does
+        // not name the load itself) are both per-cell.
+        let src = "
+fn sweep_tile(block: usize, live: &[usize], lanes: &mut Vec<usize>) {
+    for j in (0..block).step_by(16) {
+        for &i in live {
+            let below = unsafe { load_window(cells, j - i) };
+        }
+        lanes.push(j);
+        for lane in 0..16 {
+            pcmax_trace::instant(\"cell\", lane as u64);
+        }
+    }
+}";
+        let rep = lint_source("crates/parallel/src/wavefront.rs", src, &no_allow());
+        let mut rules: Vec<_> = rep.violations.iter().map(|v| (v.rule, v.line)).collect();
+        rules.sort();
+        assert_eq!(
+            rules,
+            [("alloc-hot", 7), ("trace-hot", 9)],
+            "{:?}",
+            rep.violations
+        );
+
+        // The tile loop around the kernel call is chunk granularity.
+        let tile_loop = "
+fn chunk(tiles: &[u32], out: &mut Vec<u32>) {
+    for &tile in tiles {
+        let _span = pcmax_trace::span(\"tile\", tile as u64);
+        out.push(tile);
+        sweep_tile(tile);
+    }
+}";
+        let rep = lint_source("crates/parallel/src/wavefront.rs", tile_loop, &no_allow());
+        assert!(rep.violations.is_empty(), "{:?}", rep.violations);
+    }
+
+    #[test]
+    fn the_real_tile_kernel_has_a_hot_loop_and_passes() {
+        // The rules key on HOT_STEP: if the kernel stopped naming it, both
+        // would silently check nothing. The executor's own source must
+        // contain a loop that names it, and be clean.
+        let path = "crates/parallel/src/wavefront.rs";
+        let src = include_str!("../../parallel/src/wavefront.rs");
+        let lexed = lex(src);
+        let toks = &lexed.tokens;
+        let hot = for_loop_bodies(toks).iter().any(|&(open, close)| {
+            toks[open..close]
+                .iter()
+                .any(|t| matches!(&t.tok, Tok::Ident(s) if s == HOT_STEP))
+        });
+        assert!(hot, "no `for` loop in {path} names `{HOT_STEP}`");
+        assert!(TRACE_HOT_FILES.contains(&path));
+        let rep = lint_source(path, src, &no_allow());
+        let hot_findings: Vec<_> = rep
+            .violations
+            .iter()
+            .filter(|v| v.rule == "trace-hot" || v.rule == "alloc-hot")
+            .collect();
+        assert!(hot_findings.is_empty(), "{hot_findings:?}");
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn tiny_oracle() -> Vec<u16> {
     let mut table = problem.build_table().expect("tiny problem fits");
     let configs = problem.configs_with_offsets(&table);
     pcmax_ptas::space::serial_sweep(&mut table, &pcmax_ptas::space::PcmaxSpace::new(&configs));
-    table.values_row_major()
+    table.values
 }
 
 /// The persistent-pool bucketed sweep on the tiny instance.
@@ -46,12 +46,12 @@ fn pool_values(threads: usize) -> Vec<u16> {
     let problem = tiny_problem();
     let mut scratch = DpScratch::new();
     let mut table = problem
-        .build_level_major_table_in(&mut scratch)
+        .build_table_in(&mut scratch)
         .expect("tiny problem fits");
     let configs = problem.configs_with_offsets(&table);
     table.values[0] = 0;
     bucketed_sweep(&mut table, &configs, threads, &mut scratch);
-    table.values_row_major()
+    table.values
 }
 
 /// The paper-literal full-scan executor on the tiny instance: the filled
@@ -99,12 +99,12 @@ fn persistent_pool_minimal_instance_is_exhaustively_covered() {
         || {
             let mut scratch = DpScratch::new();
             let mut table = problem
-                .build_level_major_table_in(&mut scratch)
+                .build_table_in(&mut scratch)
                 .expect("minimal problem fits");
             let configs = problem.configs_with_offsets(&table);
             table.values[0] = 0;
             bucketed_sweep(&mut table, &configs, 2, &mut scratch);
-            table.values_row_major()
+            table.values
         },
         |schedule, values| {
             assert_eq!(values, &[0, 1], "schedule {schedule:?}: wrong table");
@@ -167,9 +167,10 @@ fn persistent_pool_exhaustive_sweep_is_clean() {
 
 #[test]
 fn strip_kernel_exhaustive_sweep_is_clean() {
-    // The batched strip kernel pinned explicitly (not just as the default),
-    // under DPOR on the tiny instance: every non-equivalent schedule of the
-    // pool must run the tile walk race-free and reproduce the oracle.
+    // The strip kernel and adaptive chunking requested explicitly (not just
+    // as the defaults; audit builds pin the chunking static), under DPOR on
+    // the tiny instance: every non-equivalent schedule of the pool must run
+    // the tiled sweep race-free and reproduce the oracle.
     let expected = tiny_oracle();
     let problem = tiny_problem();
     let report = sweep_exhaustive(
@@ -177,7 +178,7 @@ fn strip_kernel_exhaustive_sweep_is_clean() {
         || {
             let mut scratch = DpScratch::new();
             let mut table = problem
-                .build_level_major_table_in(&mut scratch)
+                .build_table_in(&mut scratch)
                 .expect("tiny problem fits");
             let configs = problem.configs_with_offsets(&table);
             let space = PcmaxSpace::new(&configs);
@@ -190,7 +191,7 @@ fn strip_kernel_exhaustive_sweep_is_clean() {
                 CellKernel::Strip,
                 Chunking::Adaptive,
             );
-            table.values_row_major()
+            table.values
         },
         |schedule, values| {
             assert_eq!(

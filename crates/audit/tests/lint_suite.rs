@@ -98,7 +98,7 @@ fn fixture_fails_alloc_hot_in_kernel_files_and_guard_rule_everywhere() {
     // `alloc-hot` fires only under TRACE_HOT_FILES paths — the fixture's
     // hot-loop `.push` is flagged there and nowhere else.
     let hot = lint_source(
-        "crates/ptas/src/table.rs",
+        "crates/parallel/src/wavefront.rs",
         &fixture(),
         &Allowlist::default(),
     );

@@ -9,8 +9,8 @@
 #![cfg(feature = "audit")]
 
 use pcmax_audit::explore::{run_seed, sweep};
-use pcmax_parallel::wavefront::{bucketed_sweep, bucketed_sweep_space, bucketed_sweep_space_with};
-use pcmax_parallel::{sync, CellKernel, Chunking, ParallelDp};
+use pcmax_parallel::wavefront::{bucketed_sweep, bucketed_sweep_space, bucketed_sweep_tiles};
+use pcmax_parallel::{sync, ParallelDp};
 use pcmax_ptas::dp::DpProblem;
 use pcmax_ptas::space::{serial_sweep, PcmaxSpace, QSpace, SerialEngine, SpaceEngine};
 use pcmax_ptas::table::DpScratch;
@@ -28,19 +28,19 @@ fn paper_problem() -> DpProblem {
 /// Table I in row-major order (the sequential DP's exact values).
 const PAPER_TABLE: [u16; 12] = [0, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 2];
 
-/// Runs the persistent-pool bucketed sweep on a fresh level-major table and
-/// returns the filled values (in row-major order) plus the scratch whose
-/// counters record the pool's park/wake traffic.
+/// Runs the persistent-pool bucketed sweep on a fresh table and returns the
+/// filled values plus the scratch whose counters record the pool's
+/// park/wake traffic.
 fn sweep_values(threads: usize) -> (Vec<u16>, DpScratch) {
     let problem = paper_problem();
     let mut scratch = DpScratch::new();
     let mut table = problem
-        .build_level_major_table_in(&mut scratch)
+        .build_table_in(&mut scratch)
         .expect("paper problem fits");
     let configs = problem.configs_with_offsets(&table);
     table.values[0] = 0;
     bucketed_sweep(&mut table, &configs, threads, &mut scratch);
-    (table.values_row_major(), scratch)
+    (table.values, scratch)
 }
 
 #[test]
@@ -131,65 +131,67 @@ fn persistent_pool_park_wake_barrier_is_race_free() {
     assert!(report.max_threads > 1);
 }
 
-/// The bucketed sweep with an explicitly pinned cell kernel. Chunking is
-/// requested adaptive (the production default) but the planner pins itself
-/// static under `feature = "audit"` so explored schedules stay replayable.
-fn kernel_sweep_values(threads: usize, kernel: CellKernel) -> Vec<u16> {
-    let problem = paper_problem();
+/// Three classes of rounded sizes 1, 2, 3 with 1, 1 and 17 jobs, capacity
+/// 48: dims [2, 2, 18]. Under an 18-cell tile bound the last class is the
+/// block, so the 4 tiles sit on levels 0, 1, 1, 2 and each tile has a full
+/// strip and a 2-cell one. The transitions load windows from the sealed
+/// source tile (`c_hi ≠ 0`, in-tile offsets 0 and 14–16) and from the
+/// tile's own first strip (16 jobs of size 3, in-tile offset 16), and
+/// finish short offsets lane by lane.
+fn window_problem() -> DpProblem {
+    DpProblem::new(vec![1, 1, 17], 1, 48, 64)
+}
+
+/// The tiled sweep of [`window_problem`] with 18-cell tiles on a fresh
+/// table.
+fn window_sweep_values(threads: usize) -> Vec<u16> {
+    let problem = window_problem();
     let mut scratch = DpScratch::new();
-    let mut table = problem
-        .build_level_major_table_in(&mut scratch)
-        .expect("paper problem fits");
+    let mut table = problem.build_table_in(&mut scratch).expect("fits");
     let configs = problem.configs_with_offsets(&table);
-    let space = PcmaxSpace::new(&configs);
     table.values[0] = 0;
-    bucketed_sweep_space_with(
+    bucketed_sweep_tiles(
         &mut table,
-        &space,
+        &PcmaxSpace::new(&configs),
         threads,
         &mut scratch,
-        kernel,
-        Chunking::Adaptive,
+        18,
     );
-    table.values_row_major()
+    table.values
 }
 
 #[test]
-fn strip_kernel_is_race_free_and_matches_scalar_across_64_interleavings() {
-    // Pins `CellKernel::Strip` explicitly (the other suites get it only as
-    // the default) and cross-checks the scalar kernel under the *same*
-    // explored schedule: the batched tile walk must stay race-free and
-    // bit-identical regardless of how the pool's handoffs interleave.
+fn tile_window_loads_are_race_free_across_32_interleavings() {
+    // Every window load records all 16 lanes as reads, so the detector
+    // checks the window rule itself: a lane in a tile of the running level,
+    // or in the loading strip, would race with that tile's writer.
+    let expected = {
+        let problem = window_problem();
+        let mut table = problem.build_table().expect("fits");
+        let configs = problem.configs_with_offsets(&table);
+        serial_sweep(&mut table, &PcmaxSpace::new(&configs));
+        table.values
+    };
     let report = sweep(
         900,
-        64,
-        || {
-            (
-                kernel_sweep_values(3, CellKernel::Strip),
-                kernel_sweep_values(3, CellKernel::Scalar),
-            )
-        },
-        |seed, (strip, scalar)| {
+        32,
+        || window_sweep_values(2),
+        |seed, values| {
             assert_eq!(
-                strip.as_slice(),
-                PAPER_TABLE,
-                "seed {seed}: strip kernel diverged from the sequential DP"
-            );
-            assert_eq!(
-                strip, scalar,
-                "seed {seed}: strip and scalar kernels disagree under exploration"
+                values, &expected,
+                "seed {seed}: tiled sweep diverged from the sequential DP"
             );
         },
     );
-    assert_eq!(report.schedules, 64);
+    assert_eq!(report.schedules, 32);
     assert!(
         report.races.is_empty(),
-        "strip kernel races found: {:?}",
+        "tile window races found: {:?}",
         report.races
     );
     assert!(
         report.lock_cycles.is_empty() && report.lost_wakeups.is_empty(),
-        "strip kernel blocking findings: {:?} {:?}",
+        "tiled sweep blocking findings: {:?} {:?}",
         report.lock_cycles,
         report.lost_wakeups
     );
@@ -202,19 +204,19 @@ fn strip_kernel_is_race_free_and_matches_scalar_across_64_interleavings() {
 const Q_CAPS: [u64; 2] = [30, 14];
 
 /// The bucketed sweep driven through the generalized `StateSpace` seam with
-/// capacity filtering, on a fresh level-major table.
+/// capacity filtering, on a fresh table.
 fn q_sweep_values(threads: usize) -> (Vec<u16>, DpScratch) {
     let problem = paper_problem();
     let mut scratch = DpScratch::new();
     let mut table = problem
-        .build_level_major_table_in(&mut scratch)
+        .build_table_in(&mut scratch)
         .expect("paper problem fits");
     let configs = problem.configs_with_offsets(&table);
     let sizes = table.sizes.clone();
     let space = QSpace::new(&configs, &sizes, &Q_CAPS);
     table.values[0] = 0;
     bucketed_sweep_space(&mut table, &space, threads, &mut scratch);
-    (table.values_row_major(), scratch)
+    (table.values, scratch)
 }
 
 #[test]
@@ -228,7 +230,7 @@ fn uniform_capacity_wavefront_is_race_free_across_64_interleavings() {
         let configs = problem.configs_with_offsets(&table);
         let sizes = table.sizes.clone();
         serial_sweep(&mut table, &QSpace::new(&configs, &sizes, &Q_CAPS));
-        table.values_row_major()
+        table.values
     };
     let total_parks = std::sync::atomic::AtomicU64::new(0);
     let report = sweep(

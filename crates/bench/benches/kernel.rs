@@ -1,18 +1,10 @@
-//! Micro-benchmark for the batched wavefront **cell kernel**: DP cells per
-//! second of the bucketed sweep, isolated from table construction and
-//! witness extraction, across three kernel columns —
-//!
-//! * `scalar` — the pre-batching per-cell kernel ([`CellKernel::Scalar`]),
-//! * `lane`   — the strip kernel pinned to the portable fixed-width lane
-//!   loops (`simd::force_portable(true)`),
-//! * `native` — the strip kernel under the widest ISA the CPU offers
-//!   (compile-time intrinsics or the runtime AVX2 trampoline; the JSON
-//!   records which via `isa`),
-//!
-//! each at 1/2/4 worker threads, over a `u100-m*-n*-eps*` grid whose
-//! largest case exceeds 10⁶ DP cells — the tracked cases in
-//! `BENCH_wavefront.json` (≤1139 cells) are far too small to measure
-//! throughput honestly.
+//! Micro-benchmark for the wavefront **cell kernel**: DP cells per second of
+//! the production sweep (the tiled bucketed sweep under the default adaptive
+//! chunking), isolated from table construction and witness extraction, at
+//! 1/2/4 worker threads, against the serial reference engine
+//! (`SerialEngine`) on the same table. The `u100-m*-n*-eps*` grid runs from
+//! the CI smoke case up to the 2.57M-cell table of the paper's largest
+//! instance.
 //!
 //! ```text
 //! cargo bench -p pcmax-bench --bench kernel -- [--smoke] [--list] \
@@ -22,25 +14,31 @@
 //! * `--list`       — print each case's table size and exit (grid design aid).
 //! * `--json FILE`  — write measurements (tracked `BENCH_kernel.json`).
 //! * `--check FILE` — regression gate: fail if the single-threaded
-//!   native/scalar speedup regressed by more than 25% for any case in both
-//!   runs. Like the `wavefront` gate this compares *ratios*, so it is
+//!   sweep/serial speedup regressed by more than 25% against the baseline
+//!   for any case in both runs. It compares *ratios*, so it is
 //!   machine-normalized.
 //! * `--smoke`      — only the small fixed case (CI `bench-smoke`).
 //!
-//! Every measuring run also applies the **crossover gates**, whose figures
-//! are again same-run ratios: under the default adaptive chunking (the
-//! serial/parallel crossover) the native kernel at any thread count must
-//! reach at least 0.9× its 1-thread cells/sec on every case — threads may
-//! not make a table slower — and, on a host with at least 2 cores, the
-//! largest case at 2 threads must reach 1.3× its 1-thread rate.
+//! Each case runs [`ROUNDS`] interleaved rounds (serial, 1T, 2T, 4T, serial,
+//! …), so a burst of host load hits every column alike, and every measuring
+//! run applies four **same-run gates** to the medians of the per-round
+//! ratios:
+//!
+//! * the sweep at 1 thread is at least [`VS_SERIAL`]× `SerialEngine` on
+//!   every case, and at least [`BIG_CASE_VS_SERIAL`]× on the big case;
+//! * under the adaptive crossover, the sweep at any thread count reaches
+//!   at least [`NEVER_SLOWER`]× its 1-thread rate on every case — threads
+//!   may not make a table slower;
+//! * on a host with at least 2 cores, the big case at 2 threads reaches
+//!   [`BIG_CASE_2T`]× its 1-thread rate.
 //!
 //! Every timed sweep is first checked bit-identical against the serial
-//! generic engine on the same rounded problem.
+//! engine's table.
 
 use pcmax_bench::timing::time_stable;
 use pcmax_core::json::{self, Value};
-use pcmax_parallel::wavefront::bucketed_sweep_space_with;
-use pcmax_parallel::{simd, CellKernel, Chunking};
+use pcmax_parallel::simd;
+use pcmax_parallel::wavefront::bucketed_sweep_space;
 use pcmax_ptas::dp::DpProblem;
 use pcmax_ptas::space::{PcmaxSpace, SerialEngine, SpaceEngine};
 use pcmax_ptas::table::DpScratch;
@@ -48,25 +46,29 @@ use pcmax_ptas::{rounded_problem, EpsilonParams};
 use pcmax_workloads::{generate, Distribution, Family};
 use std::process::ExitCode;
 
-/// Worker-thread columns; the last is the PR's acceptance point.
+/// Worker-thread columns.
 const THREAD_COUNTS: &[usize] = &[1, 2, 4];
 
-/// Regression tolerance on the native/scalar speedup ratio.
+/// Regression tolerance of `--check` on the sweep/serial speedup.
 const TOLERANCE: f64 = 0.25;
 
-/// Crossover gate: native@T ≥ this × native@1T on every case.
+/// Same-run gate: the sweep at 1 thread ≥ this × `SerialEngine`, every case.
+const VS_SERIAL: f64 = 1.0;
+
+/// Same-run gate: the big case at 1 thread ≥ this × `SerialEngine`.
+const BIG_CASE_VS_SERIAL: f64 = 3.0;
+
+/// Crossover gate: sweep@T ≥ this × sweep@1T on every case.
 const NEVER_SLOWER: f64 = 0.9;
 
 /// Crossover gate: the big case at 2 threads ≥ this × its 1-thread rate.
 const BIG_CASE_2T: f64 = 1.3;
 
-/// The case the 2-thread scaling gate applies to (the paper's largest).
+/// The case the big-case gates apply to (the paper's largest).
 const BIG_CASE: &str = "u100-m30-n90-eps0.3";
 
-/// Interleaved rounds (1T, 2T, 4T, 1T, …) of the native column: a burst of
-/// host load then hits every thread count alike, so the per-round ratios
-/// the crossover gates use stay comparable.
-const NATIVE_ROUNDS: usize = 5;
+/// Interleaved rounds per case; every gate reads the median over them.
+const ROUNDS: usize = 5;
 
 struct Case {
     name: &'static str,
@@ -114,35 +116,30 @@ const CASES: &[Case] = &[
 
 struct Column {
     threads: usize,
-    scalar_cps: f64,
-    lane_cps: f64,
-    native_cps: f64,
-    /// Median over the interleaved native rounds of this thread count's
-    /// cells/sec over the same round's 1-thread cells/sec.
-    native_vs_1t: f64,
+    /// Best of the rounds.
+    cells_per_sec: f64,
+    /// Median over the rounds of this thread count's cells/sec over the
+    /// same round's 1-thread cells/sec.
+    vs_1t: f64,
 }
 
 struct Measurement {
     name: &'static str,
     cells: u64,
+    /// Best of the rounds.
+    serial_cps: f64,
+    /// Median over the rounds of the 1-thread sweep's cells/sec over the
+    /// same round's `SerialEngine` cells/sec.
+    vs_serial: f64,
     columns: Vec<Column>,
 }
 
 impl Measurement {
-    /// Native-over-scalar speedup at **one** thread — the machine-normalized
-    /// figure the `--check` gate compares. Single-threaded deliberately: at
-    /// higher thread counts the barrier and park/wake costs are shared by
-    /// both kernels and drown the ratio in scheduler noise, while the pool
-    /// itself is already gated by the `wavefront` bench.
-    fn speedup(&self) -> f64 {
-        let first = self.columns.first().expect("at least one thread count");
-        first.native_cps / first.scalar_cps
-    }
-
     fn to_json(&self) -> Value {
         json::object(vec![
             ("case", Value::Str(self.name.to_string())),
             ("cells", Value::UInt(self.cells)),
+            ("serial_cells_per_sec", Value::Float(self.serial_cps)),
             (
                 "columns",
                 Value::Array(
@@ -151,16 +148,14 @@ impl Measurement {
                         .map(|c| {
                             json::object(vec![
                                 ("threads", Value::UInt(c.threads as u64)),
-                                ("scalar_cells_per_sec", Value::Float(c.scalar_cps)),
-                                ("lane_cells_per_sec", Value::Float(c.lane_cps)),
-                                ("native_cells_per_sec", Value::Float(c.native_cps)),
-                                ("native_vs_1t", Value::Float(c.native_vs_1t)),
+                                ("cells_per_sec", Value::Float(c.cells_per_sec)),
+                                ("vs_1t", Value::Float(c.vs_1t)),
                             ])
                         })
                         .collect(),
                 ),
             ),
-            ("speedup", Value::Float(self.speedup())),
+            ("speedup", Value::Float(self.vs_serial)),
         ])
     }
 }
@@ -175,92 +170,70 @@ fn rounded(case: &Case) -> DpProblem {
     rounded_problem(&inst, &eps, target, DpProblem::DEFAULT_MAX_ENTRIES).0
 }
 
+/// The median of `values` (sorted in place).
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
 fn measure(case: &Case, min_secs: f64) -> Measurement {
     let problem = rounded(case);
     let mut scratch = DpScratch::new();
-
-    // Reference values from the serial generic engine, once.
-    let mut reference = problem.build_table().expect("guarded size");
-    let ref_configs = problem.configs_with_offsets(&reference);
-    SerialEngine.sweep(&mut reference, &PcmaxSpace::new(&ref_configs), &mut scratch);
-    let want = reference.values_row_major();
-    let cells = (reference.len - 1) as u64;
-
-    let mut table = problem
-        .build_level_major_table_in(&mut scratch)
-        .expect("guarded size");
+    let mut table = problem.build_table().expect("guarded size");
     let configs = problem.configs_with_offsets(&table);
     let space = PcmaxSpace::new(&configs);
+    let cells = (table.len - 1) as u64;
 
-    // The sweep rewrites every cell, so re-sweeping the same table in place
-    // is sound — and it is exactly the kernel-only measurement we want.
-    let mut sweep = |threads: usize, kernel: CellKernel| -> f64 {
-        table.values[0] = 0;
-        bucketed_sweep_space_with(
-            &mut table,
-            &space,
-            threads,
-            &mut scratch,
-            kernel,
-            Chunking::default(),
-        );
-        assert_eq!(
-            table.values_row_major(),
-            want,
-            "{}: {kernel:?} kernel diverged from the serial engine",
-            case.name
-        );
+    // Both engines rewrite every cell, so re-sweeping the same table in
+    // place is sound — and it is exactly the kernel-only measurement wanted.
+    SerialEngine.sweep(&mut table, &space, &mut scratch);
+    let want = table.values.clone();
+    let mut serial = || -> f64 {
         let secs = time_stable(min_secs, || {
-            table.values[0] = 0;
-            bucketed_sweep_space_with(
-                &mut table,
-                &space,
-                threads,
-                &mut scratch,
-                kernel,
-                Chunking::default(),
-            );
+            SerialEngine.sweep(&mut table, &space, &mut scratch)
         });
         cells as f64 / secs
     };
-    // Best-of-3: the max rate filters scheduler noise, which matters for
-    // the ratio gate far more than absolute accuracy does.
-    let mut best_of_3 = |threads: usize, kernel: CellKernel| -> f64 {
-        (0..3).map(|_| sweep(threads, kernel)).fold(0.0, f64::max)
+    let mut sweep_table = problem.build_table().expect("guarded size");
+    let mut sweep = |threads: usize| -> f64 {
+        sweep_table.values[0] = 0;
+        bucketed_sweep_space(&mut sweep_table, &space, threads, &mut DpScratch::new());
+        assert_eq!(
+            sweep_table.values, want,
+            "{}: the sweep at {threads} threads diverged from the serial engine",
+            case.name
+        );
+        let mut scratch = DpScratch::new();
+        let secs = time_stable(min_secs, || {
+            sweep_table.values[0] = 0;
+            bucketed_sweep_space(&mut sweep_table, &space, threads, &mut scratch);
+        });
+        cells as f64 / secs
     };
 
-    let mut columns = Vec::new();
-    for &threads in THREAD_COUNTS {
-        let scalar_cps = best_of_3(threads, CellKernel::Scalar);
-        simd::force_portable(true);
-        let lane_cps = best_of_3(threads, CellKernel::Strip);
-        simd::force_portable(false);
-        columns.push(Column {
-            threads,
-            scalar_cps,
-            lane_cps,
-            native_cps: 0.0,
-            native_vs_1t: 1.0,
-        });
-    }
-    let rounds: Vec<Vec<f64>> = (0..NATIVE_ROUNDS)
+    // rounds[r] = [serial, 1T, 2T, 4T]
+    let rounds: Vec<Vec<f64>> = (0..ROUNDS)
         .map(|_| {
-            THREAD_COUNTS
-                .iter()
-                .map(|&threads| sweep(threads, CellKernel::Strip))
+            std::iter::once(serial())
+                .chain(THREAD_COUNTS.iter().map(|&threads| sweep(threads)))
                 .collect()
         })
         .collect();
-    for (i, column) in columns.iter_mut().enumerate() {
-        column.native_cps = rounds.iter().map(|r| r[i]).fold(0.0, f64::max);
-        let mut ratios: Vec<f64> = rounds.iter().map(|r| r[i] / r[0]).collect();
-        ratios.sort_by(f64::total_cmp);
-        column.native_vs_1t = ratios[ratios.len() / 2];
-    }
-
+    let best = |i: usize| rounds.iter().map(|r| r[i]).fold(0.0, f64::max);
+    let columns = THREAD_COUNTS
+        .iter()
+        .enumerate()
+        .map(|(i, &threads)| Column {
+            threads,
+            cells_per_sec: best(i + 1),
+            vs_1t: median(&mut rounds.iter().map(|r| r[i + 1] / r[1]).collect::<Vec<_>>()),
+        })
+        .collect();
     Measurement {
         name: case.name,
         cells,
+        serial_cps: best(0),
+        vs_serial: median(&mut rounds.iter().map(|r| r[1] / r[0]).collect::<Vec<_>>()),
         columns,
     }
 }
@@ -286,15 +259,13 @@ fn check_against(baseline: &Value, current: &[Measurement]) -> Result<(), String
         let floor = base_speedup * (1.0 - TOLERANCE);
         println!(
             "check {:<24} baseline x{base_speedup:.2}  current x{:.2}  floor x{floor:.2}",
-            m.name,
-            m.speedup()
+            m.name, m.vs_serial
         );
-        if m.speedup() < floor {
+        if m.vs_serial < floor {
             return Err(format!(
-                "{}: native/scalar speedup regressed to x{:.2} (baseline \
+                "{}: sweep/serial speedup regressed to x{:.2} (baseline \
                  x{base_speedup:.2}, floor x{floor:.2})",
-                m.name,
-                m.speedup()
+                m.name, m.vs_serial
             ));
         }
     }
@@ -304,34 +275,36 @@ fn check_against(baseline: &Value, current: &[Measurement]) -> Result<(), String
     Ok(())
 }
 
-/// The crossover gates (see the module docs), over same-run ratios.
-fn crossover_gates(results: &[Measurement], cores: usize) -> Result<(), String> {
+/// One gate line: prints it and records a failure below `floor`.
+fn gate(failures: &mut Vec<String>, what: String, ratio: f64, floor: f64) {
+    println!("gate {what:<40} x{ratio:.2}  floor x{floor:.2}");
+    if ratio < floor {
+        failures.push(format!("{what} is x{ratio:.2} (floor x{floor:.2})"));
+    }
+}
+
+/// The same-run gates (see the module docs).
+fn same_run_gates(results: &[Measurement], cores: usize) -> Result<(), String> {
     let mut failures = Vec::new();
     for m in results {
+        let big = m.name == BIG_CASE;
+        gate(
+            &mut failures,
+            format!("{} 1T/serial", m.name),
+            m.vs_serial,
+            if big { BIG_CASE_VS_SERIAL } else { VS_SERIAL },
+        );
         for c in &m.columns[1..] {
-            let ratio = c.native_vs_1t;
-            println!(
-                "gate {:<26} native {}T/1T x{ratio:.2}  floor x{NEVER_SLOWER:.2}",
-                m.name, c.threads
+            gate(
+                &mut failures,
+                format!("{} {}T/1T", m.name, c.threads),
+                c.vs_1t,
+                if big && c.threads == 2 && cores >= 2 {
+                    BIG_CASE_2T
+                } else {
+                    NEVER_SLOWER
+                },
             );
-            if ratio < NEVER_SLOWER {
-                failures.push(format!(
-                    "{} at {} threads runs at x{ratio:.2} of 1 thread",
-                    m.name, c.threads
-                ));
-            }
-        }
-        if m.name == BIG_CASE && cores >= 2 {
-            if let Some(c) = m.columns.iter().find(|c| c.threads == 2) {
-                let ratio = c.native_vs_1t;
-                println!(
-                    "gate {:<26} native 2T/1T x{ratio:.2}  floor x{BIG_CASE_2T:.2}",
-                    m.name
-                );
-                if ratio < BIG_CASE_2T {
-                    failures.push(format!("{} scales only x{ratio:.2} at 2 threads", m.name));
-                }
-            }
         }
     }
     if failures.is_empty() {
@@ -385,14 +358,17 @@ fn main() -> ExitCode {
     let mut results = Vec::new();
     for case in CASES.iter().filter(|c| !smoke || c.smoke) {
         let m = measure(case, min_secs);
-        println!("{:<24} {:>10} cells", m.name, m.cells);
+        println!(
+            "{:<24} {:>10} cells   serial {:>12.0} cells/s",
+            m.name, m.cells, m.serial_cps
+        );
         for c in &m.columns {
             println!(
-                "  {} threads: scalar {:>12.0}   lane {:>12.0}   native {:>12.0} cells/s",
-                c.threads, c.scalar_cps, c.lane_cps, c.native_cps
+                "  {} threads: {:>12.0} cells/s   x{:.2} of 1T",
+                c.threads, c.cells_per_sec, c.vs_1t
             );
         }
-        println!("  native/scalar speedup at 1 thread: x{:.2}", m.speedup());
+        println!("  sweep/serial at 1 thread: x{:.2}", m.vs_serial);
         results.push(m);
     }
 
@@ -400,7 +376,10 @@ fn main() -> ExitCode {
         let doc = json::object(vec![
             ("bench", Value::Str("kernel".to_string())),
             ("isa", Value::Str(simd::kernel_isa().to_string())),
+            ("rounds", Value::UInt(ROUNDS as u64)),
             ("tolerance", Value::Float(TOLERANCE)),
+            ("vs_serial_floor", Value::Float(VS_SERIAL)),
+            ("big_case_vs_serial_floor", Value::Float(BIG_CASE_VS_SERIAL)),
             ("never_slower_floor", Value::Float(NEVER_SLOWER)),
             ("big_case_2t_floor", Value::Float(BIG_CASE_2T)),
             (
@@ -413,10 +392,10 @@ fn main() -> ExitCode {
     }
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    match crossover_gates(&results, cores) {
-        Ok(()) => println!("crossover gates: OK ({cores} cores)"),
+    match same_run_gates(&results, cores) {
+        Ok(()) => println!("same-run gates: OK ({cores} cores)"),
         Err(msg) => {
-            eprintln!("crossover gates FAILED: {msg}");
+            eprintln!("same-run gates FAILED: {msg}");
             return ExitCode::FAILURE;
         }
     }

@@ -736,6 +736,7 @@ mod tests {
 
     #[test]
     fn gauge_is_last_write_wins() {
+        let _serial = test_support::serial();
         static G: Gauge = Gauge::new("pcmax_test_gauge", "test gauge");
         G.set(1.5);
         G.set(2.25);
@@ -762,6 +763,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_land_in_the_right_bucket() {
+        let _serial = test_support::serial();
         static H: Histogram = Histogram::new("pcmax_test_hist", "test histogram");
         H.zero();
         for v in 1..=1000u64 {
@@ -784,6 +786,7 @@ mod tests {
 
     #[test]
     fn merge_is_bucketwise_sum() {
+        let _serial = test_support::serial();
         static A: Histogram = Histogram::new("pcmax_test_merge_a", "a");
         static B: Histogram = Histogram::new("pcmax_test_merge_b", "b");
         A.zero();

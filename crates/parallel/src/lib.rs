@@ -10,14 +10,17 @@
 //! [`LevelStrategy`]s:
 //!
 //! * [`LevelStrategy::Bucketed`] — the production executor
-//!   ([`wavefront`]): a level-major table whose levels are
-//!   contiguous slices, written **in place** by a [`persistent`] worker
-//!   pool that is spawned once per sweep and parked between levels, with
-//!   the lane-parallel strip kernel ([`simd`]). Under the default
-//!   [`Chunking::Adaptive`] the leader releases a level to the pool only
-//!   when its measured cost model says sharing beats the handoff; smaller
-//!   levels run inline on the calling thread, and a table with no such
-//!   level spawns no pool thread at all.
+//!   ([`wavefront`]): Lamport's hyperplane method over row-major tiles.
+//!   The table is cut into contiguous blocks over its low-order classes,
+//!   a level is the set of tiles whose high-order prefix has one digit sum,
+//!   and each tile is swept serially in 16-cell strips with contiguous
+//!   window loads and a unary-code fit test ([`simd`]), written **in
+//!   place** by a [`persistent`] worker pool that is spawned once per sweep
+//!   and parked between levels. Under the default [`Chunking::Adaptive`]
+//!   the leader releases a level to the pool only when its measured cost
+//!   model says sharing beats the handoff; smaller levels run inline on the
+//!   calling thread, and a table with no such level spawns no pool thread
+//!   at all.
 //! * [`LevelStrategy::Faithful`] — the paper-literal variant on the same
 //!   [`persistent`] pool: each worker owns a fixed, even chunk of the σ
 //!   row-major entries, computes their digit sums `d_i` once (Lines 4–8),
@@ -29,7 +32,7 @@
 //! it. [`SpeculativePtas`] (an extension) runs the shared `chassis::drive`
 //! bisection in `w`-ary rounds over the same engine.
 //!
-//! Shared-memory accesses (fork/join handoffs, the table scatter/gather)
+//! Shared-memory accesses (fork/join handoffs, the table reads and writes)
 //! flow through the [`sync`] seam: zero-cost passthroughs normally, and —
 //! under `feature = "audit"` — an event log plus a seeded interleaving
 //! scheduler that `pcmax-audit` uses to prove the wavefront race-free.

@@ -1,46 +1,45 @@
-//! The wavefront-parallel DP (Algorithm 3 of the paper): anti-diagonal
-//! levels are processed in order with a barrier between them; inside a
-//! level, subproblem values are computed in parallel from the (immutable)
-//! lower levels.
+//! The wavefront-parallel DP (Algorithm 3 of the paper): levels are
+//! processed in order with a barrier between them; inside a level,
+//! subproblem values are computed in parallel from the sealed lower levels.
 //!
-//! The production [`LevelStrategy::Bucketed`] executor is the zero-allocation
-//! hot path of this crate: a [`crate::persistent`] worker pool spawned once
-//! per sweep, a level-major table (each level one contiguous slice, see
-//! `pcmax_ptas::LevelLayout`) so the scatter is a **parallel in-place
-//! write** over disjoint sub-slices, and an incremental in-level decode
-//! (`next_in_level`) so no per-cell `Vec` is ever allocated. The
+//! The production [`LevelStrategy::Bucketed`] executor is Lamport's
+//! hyperplane method over **row-major tiles**. The table is cut into
+//! contiguous blocks over its low-order classes: a tile is one value of the
+//! `h` high-order digits (its *prefix*), and its cells are the block
+//! `Π_{a≥h} dims[a]` of consecutive row-major ranks below it. The barrier
+//! levels are the digit sums of the prefixes. A transition `c` read by a
+//! cell of tile `p` lands in tile `p − c_hi`, which is on a strictly lower
+//! level when `c_hi ≠ 0`, and earlier in the same tile when `c_hi = 0` — so
+//! tiles of one level are independent, and each tile is swept serially
+//! (see [`sweep_tile`]) by one worker of a [`crate::persistent`] pool. The
 //! paper-literal [`LevelStrategy::Faithful`] scan is the other strategy, on
 //! the same pool.
 
 use crate::persistent::{self, Level};
-use crate::{simd, sync};
+use crate::simd::{fit_select_u16, min_assign_u16, saturating_add1_u16, LANES};
+use crate::sync;
 use pcmax_ptas::config::Config;
 use pcmax_ptas::dp::fits;
-use pcmax_ptas::space::{serial_sweep, PcmaxSpace, SpaceEngine, StateSpace};
+use pcmax_ptas::space::{PcmaxSpace, SpaceEngine, StateSpace};
 use pcmax_ptas::table::{
-    decode_into, next_in_level, strip_digits, DpScratch, DpTable, KernelScratch, LevelLayout,
-    INFEASIBLE, STRIP_LANES,
+    decode_into, increment_with_sum, DpScratch, DpTable, KernelScratch, INFEASIBLE,
 };
 use std::cell::UnsafeCell;
-use std::ops::RangeInclusive;
+use std::ops::{Range, RangeInclusive};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How the bucketed sweep computes the cells of one worker chunk.
+/// The bucketed sweep's cell kernel. There is one: the tiled strip kernel
+/// of [`sweep_tile`]. The type stays so callers that name a kernel keep
+/// compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CellKernel {
-    /// The batched lane-parallel kernel: cells are advanced a strip of
-    /// [`STRIP_LANES`] at a time, strips are grouped into L1-sized tiles,
-    /// and the min-reduction runs over packed `u16` lanes (see
-    /// [`strip_chunk`] and [`crate::simd`]). Bit-identical to `Scalar`.
+    /// Row-major tiles swept in strips of [`LANES`] cells with contiguous
+    /// window loads (see [`sweep_tile`]).
     #[default]
     Strip,
-    /// One cell at a time — the pre-batching kernel, kept as the bench
-    /// baseline and as the semantic reference the strip-equivalence
-    /// proptests compare against.
-    Scalar,
 }
 
-/// How the bucketed sweep splits a level slice across workers.
+/// How the bucketed sweep splits a level's tiles across workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Chunking {
     /// Pool only the levels that pay for it, and split those by measured
@@ -52,24 +51,23 @@ pub enum Chunking {
     ///   inline on the calling thread with the workers parked. When no
     ///   level of a table clears the cut, no pool thread is spawned at all,
     ///   so a small table never runs slower than on one thread.
-    /// * **Proportional split** of each pooled level, driven by each
-    ///   worker's measured throughput on the previous pooled levels (see
-    ///   [`ChunkPlanner`]).
+    /// * **Proportional split** of each pooled level's tiles, driven by
+    ///   each worker's measured throughput on the previous pooled levels
+    ///   (see [`ChunkPlanner`]).
     ///
     /// Pinned to `Static` under `feature = "audit"` so schedule replay and
     /// DPOR enumeration stay deterministic.
     #[default]
     Adaptive,
-    /// Every level pooled, with the fixed `len.div_ceil(n)` split of the
-    /// pre-autotuner executor.
+    /// Every level pooled, with the fixed `tiles.div_ceil(n)` split.
     Static,
 }
 
-/// How each anti-diagonal level finds its subproblems.
+/// How each wavefront level finds its subproblems.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LevelStrategy {
-    /// Persistent pool over a level-major table: per-level buckets are the
-    /// contiguous level slices themselves, scattered in place in parallel.
+    /// Persistent pool over row-major tiles: a level is the set of tiles
+    /// whose prefix has one digit sum, each tile swept serially in place.
     /// The efficient default.
     #[default]
     Bucketed,
@@ -79,20 +77,16 @@ pub enum LevelStrategy {
     Faithful,
 }
 
-/// Wavefront DP: anti-diagonal levels processed in order; inside a level,
-/// subproblem values are computed in parallel from the (immutable) lower
-/// levels.
+/// Wavefront DP: levels processed in order; inside a level, subproblem
+/// values are computed in parallel from the sealed lower levels.
 ///
-/// Produces bit-identical tables to `pcmax_ptas::SerialEngine` (compare via
-/// `DpTable::values_row_major`).
+/// Produces bit-identical tables to `pcmax_ptas::SerialEngine`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ParallelDp {
     /// Worker threads; `None` = all available cores.
     pub threads: Option<usize>,
     /// Level iteration strategy.
     pub strategy: LevelStrategy,
-    /// Cell kernel for the bucketed strategy (lane-parallel by default).
-    pub kernel: CellKernel,
     /// Chunk split policy for the bucketed strategy (adaptive by default).
     pub chunking: Chunking,
 }
@@ -123,13 +117,7 @@ impl SpaceEngine for ParallelDp {
         }
     }
 
-    fn level_major(&self) -> bool {
-        matches!(self.strategy, LevelStrategy::Bucketed)
-    }
-
     fn sweep<S: StateSpace>(&self, table: &mut DpTable, space: &S, scratch: &mut DpScratch) {
-        // Rank 0 is the sole level-0 entry, stored at position 0 under both
-        // layouts, so this seed write is layout-agnostic.
         table.values[0] = 0;
         let threads = crate::effective_threads(self.threads);
         match self.strategy {
@@ -138,7 +126,7 @@ impl SpaceEngine for ParallelDp {
                 space,
                 threads,
                 scratch,
-                self.kernel,
+                CellKernel::default(),
                 self.chunking,
             ),
             LevelStrategy::Faithful => faithful_sweep_space(table, space, threads, scratch),
@@ -147,10 +135,10 @@ impl SpaceEngine for ParallelDp {
 }
 
 /// A `Sync` view of one DP value cell, used for the in-place parallel
-/// scatter. Safety rests on the wavefront protocol, not on this type:
-/// within a level every position is written by exactly one worker (the
-/// level slice is chunked disjointly), and reads only target positions of
-/// strictly lower levels, sealed by the pool's barrier — so no location is
+/// writes. Safety rests on the wavefront protocol, not on this type: within
+/// a level every cell is written by exactly one worker (the level's tiles
+/// are chunked disjointly), and reads only target cells of sealed lower
+/// levels or earlier cells of the reader's own tile — so no location is
 /// ever accessed concurrently with a write.
 #[repr(transparent)]
 struct SyncCell(UnsafeCell<u16>);
@@ -161,8 +149,8 @@ unsafe impl Sync for SyncCell {}
 
 impl SyncCell {
     /// # Safety
-    /// The cell's level must be sealed (its level's barrier passed) so no
-    /// write can be concurrent with this read.
+    /// No write to this cell may be concurrent with the read: it lies on a
+    /// sealed level, or earlier in the reader's own tile.
     #[inline]
     unsafe fn get(&self) -> u16 {
         unsafe { *self.0.get() }
@@ -170,7 +158,7 @@ impl SyncCell {
 
     /// # Safety
     /// The caller must be the unique writer of this cell within the current
-    /// level (disjoint chunking of the level slice).
+    /// level (disjoint chunking of the level's tiles).
     #[inline]
     unsafe fn set(&self, value: u16) {
         unsafe { *self.0.get() = value }
@@ -186,11 +174,30 @@ fn shared_cells(values: &mut [u16]) -> &[SyncCell] {
     unsafe { &*(values as *mut [u16] as *const [SyncCell]) }
 }
 
-/// The trace-driven chunk autotuner: replaces the fixed `len.div_ceil(n)`
+/// The contiguous window load `values[src..src + LANES]`, recorded as
+/// [`LANES`] reads for the race detector whether or not a lane is used.
+///
+/// # Safety
+/// No cell of the window may be written concurrently: every lane must lie
+/// in a barrier-sealed tile, or before the current strip in the reader's
+/// own tile (the window rule of [`Step::window_end`]).
+#[inline(always)]
+unsafe fn load_window(cells: &[SyncCell], src: usize) -> [u16; LANES] {
+    let window = &cells[src..src + LANES];
+    for lane in 0..LANES {
+        sync::trace_read(src + lane);
+    }
+    // SAFETY: `SyncCell` is `repr(transparent)` over `UnsafeCell<u16>`, so
+    // the window is LANES contiguous `u16`s, and the caller guarantees no
+    // concurrent writer.
+    unsafe { std::ptr::read(window.as_ptr().cast::<[u16; LANES]>()) }
+}
+
+/// The trace-driven chunk autotuner: replaces the fixed `tiles.div_ceil(n)`
 /// split with a per-level proportional split over each worker's measured
 /// throughput, so a worker that keeps finishing early (asymmetric cores,
 /// interference, NUMA) is handed a larger share instead of parking at the
-/// barrier.
+/// barrier. It splits whole tiles.
 ///
 /// ## Why two speed buffers
 ///
@@ -238,9 +245,7 @@ impl ChunkPlanner {
         }
     }
 
-    /// Worker `w`'s half-open cell range within a level of `len` cells.
-    /// Interior boundaries are aligned down to whole strips so only the
-    /// level's last strip can be ragged under the strip kernel.
+    /// Worker `w`'s half-open range of a level's `len` tiles.
     fn bounds(&self, w: usize, level: Level, len: usize) -> (usize, usize) {
         if !level.pooled {
             return (0, len);
@@ -265,7 +270,7 @@ impl ChunkPlanner {
             let end = if i + 1 == self.n {
                 len
             } else {
-                ((prorated / STRIP_LANES) * STRIP_LANES).clamp(start, len)
+                prorated.clamp(start, len)
             };
             if i == w {
                 return (start, end);
@@ -302,11 +307,12 @@ impl ChunkPlanner {
 ///
 /// It is `pcmax-simcore`'s level cost (DESIGN §2: a level ends when its
 /// slowest processor does, plus the barrier) with measured constants. A
-/// level of `w` cell·transitions (cells × the space's transitions) costs
-/// `w·c` inline on the leader and about `w·c/n + h` pooled on `n`
-/// workers, where `c` is the kernel's time per cell·transition and `h` the
-/// handoff: release, wake-up, the wait for the slowest peer and the
-/// barrier. A level is pooled only when `w·c·(1 − 1/n) > h`.
+/// level of `w` cell·transitions (tiles × cells per tile × the space's
+/// transitions) costs `w·c` inline on the leader and about `w·c/n + h`
+/// pooled on `n` workers, where `c` is the kernel's time per
+/// cell·transition and `h` the handoff: release, wake-up, the wait for the
+/// slowest peer and the barrier. A level is pooled only when
+/// `w·c·(1 − 1/n) > h`.
 ///
 /// Both constants are process-wide EWMAs (`¾·old + ¼·sample`, clamped) of
 /// timings the sweep takes anyway: `c` from the leader's chunk timer, `h`
@@ -317,7 +323,7 @@ impl ChunkPlanner {
 /// [`Self::NEAR_CUT`] handoffs): on big levels the wait for the slowest
 /// peer grows with the level and a steal burst can add milliseconds, which
 /// says nothing about the levels the decision is about. The seeds are
-/// measurements of the strip kernel on a 2-vCPU x86-64 VM; the clamps keep
+/// measurements of the tiled kernel on a 2-vCPU x86-64 VM; the clamps keep
 /// host noise from ever pooling a tiny level or shutting the pool out of a
 /// big one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -333,14 +339,14 @@ static HANDOFF_NS: AtomicU64 = AtomicU64::new(Crossover::SEED.handoff_ns);
 
 impl Crossover {
     const SEED: Crossover = Crossover {
-        ps_per_ct: 5_000,
+        ps_per_ct: 500,
         handoff_ns: 150_000,
     };
     const PS_PER_CT_RANGE: RangeInclusive<u64> = 250..=20_000;
     const HANDOFF_NS_RANGE: RangeInclusive<u64> = 5_000..=250_000;
     /// Smallest leader chunk whose timing feeds `ps_per_ct`: below it the
-    /// fixed per-chunk costs (head decode, ISA dispatch, timer) dominate,
-    /// and they do not shrink when a level is shared.
+    /// fixed per-chunk costs (tile setup, timer) dominate, and they do not
+    /// shrink when a level is shared.
     const MIN_SAMPLE_CT: u64 = 1 << 14;
     /// Pooled levels whose sharing saves at most this many handoffs feed
     /// the handoff estimate.
@@ -409,15 +415,14 @@ fn blend(slot: &AtomicU64, sample: u64, range: RangeInclusive<u64>) {
 struct SweepPlan<'a> {
     crossover: Option<Crossover>,
     threads: usize,
-    layout: &'a LevelLayout,
-    transitions: u64,
+    tiling: &'a Tiling,
     /// Σ handoff nanos (each capped at the estimate's ceiling) and count.
     handoffs: (u64, u64),
 }
 
 impl SweepPlan<'_> {
     fn work(&self, index: u32) -> u64 {
-        self.layout.level_span(index).len() as u64 * self.transitions
+        self.tiling.level(index).len() as u64 * self.tiling.cells_per_tile_transitions()
     }
 
     fn decide(&self, index: u32) -> bool {
@@ -441,33 +446,200 @@ impl persistent::Plan for SweepPlan<'_> {
     }
 }
 
-/// Cells per tile for a `k`-class table: sized so a tile's transposed digit
-/// block (`4·k` bytes per cell) fills about half a typical L1d (16 KiB),
-/// rounded to whole strips and clamped to `[STRIP_LANES, 1024]` so the
-/// per-tile `ranks`/`best` stay resident too. Each transition's predecessor
-/// gather then revisits a window that was touched at most one tile ago.
-fn tile_cells_for(k: usize) -> usize {
-    const L1_BUDGET_BYTES: usize = 16 << 10;
-    let cells = L1_BUDGET_BYTES / (4 * k.max(1));
-    ((cells / STRIP_LANES) * STRIP_LANES).clamp(STRIP_LANES, 1024)
+/// Upper bound on the cells of one tile: 8 Ki `u16` values are 16 KiB, so a
+/// tile, its code table and a source window stay in L1/L2 while it is
+/// swept. Under `feature = "audit"` tiles are single cells, so the explored
+/// tables (Table I has 12 cells) still have several concurrent tiles per
+/// level — the same way `Chunking` is pinned to `Static` there.
+const TILE_CELLS: usize = if cfg!(feature = "audit") { 1 } else { 8 << 10 };
+
+/// One transition as the tiled kernel sees it.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    /// Index into the space's transitions (for the step filter).
+    t_idx: usize,
+    /// Row-major offset: the predecessor of rank `r` is `r − offset`.
+    offset: usize,
+    /// In-tile offset: the part of `offset` from the low-order classes.
+    lo: usize,
+    /// Code bits a cell must hold for the low-order part to fit.
+    need: u32,
+    /// Strips at in-tile position `j` with `lo ≤ j < window_end` load the
+    /// transition as one window `values[base + j − offset..][..LANES]`.
+    /// The window rule: every lane of it, fitting or not, lies in the
+    /// sealed source tile `prefix − c_hi` (`c_hi ≠ 0`: `j + LANES ≤ block +
+    /// lo`), or before the strip in its own tile (`c_hi = 0`: `lo ≥
+    /// LANES`). Other strips finish the transition lane by lane.
+    window_end: usize,
 }
 
-/// The zero-allocation persistent-pool sweep over a level-major table.
-///
-/// Each level `l` is the contiguous slice `starts[l]..starts[l+1]`; workers
-/// split it into disjoint chunks and write results **in place** (no results
-/// `Vec`, no sequential copy). The cell kernel decodes only its chunk's
-/// first vector, then walks the level with the bounded-composition
-/// successor [`next_in_level`] — no per-cell heap allocation; the only
-/// buffers are the per-worker [`KernelScratch`] sets accounted by
-/// `DpScratch::kernel_allocs`. Reads translate row-major ranks through the
-/// layout's permutation and target strictly lower (barrier-sealed) levels.
+/// The tiling of one row-major table for one transition set: the tile
+/// shape, the per-position unary threshold codes, the transitions and the
+/// tiles grouped by level.
+struct Tiling {
+    /// High-order classes `h`: a tile is one value of the first `h` digits.
+    high: usize,
+    /// Cells per tile, `Π_{a≥h} dims[a]`.
+    block: usize,
+    /// Tile-index strides of the prefix digits (`strides[a] / block`).
+    tile_strides: Vec<usize>,
+    /// `codes[j]`: the unary threshold code of in-tile position `j` — class
+    /// `a ≥ h` owns `bits[a]` bits, of which the lowest `q_a` are set —
+    /// padded with zero codes to whole strips.
+    codes: Vec<u32>,
+    /// The transitions that fit some cell of the table.
+    steps: Vec<Step>,
+    /// Tile indices, level by level, ascending within a level.
+    order: Vec<u32>,
+    /// `starts[l]..starts[l + 1]` is level `l`'s slice of `order`.
+    starts: Vec<usize>,
+}
+
+impl Tiling {
+    /// Tiles `table` with at most `tile_cells` cells per tile, choosing the
+    /// fewest high-order classes whose low-order block fits that bound and
+    /// whose codes fit a `u32`.
+    fn new(table: &DpTable, transitions: &[(Config, usize)], tile_cells: usize) -> Self {
+        let dims = &table.dims;
+        let strides = &table.strides;
+        let k = dims.len();
+        // A transition that is zero or exceeds a radix fits no cell.
+        let live = |c: &Config| c.iter().any(|&x| x > 0) && c.iter().zip(dims).all(|(x, d)| x < d);
+        let mut bits = vec![0u32; k];
+        for (c, _) in transitions.iter().filter(|(c, _)| live(c)) {
+            for (b, &x) in bits.iter_mut().zip(c) {
+                *b = (*b).max(x);
+            }
+        }
+        let block_of = |h: usize| dims[h..].iter().map(|&d| d as usize).product::<usize>();
+        let high = (0..=k)
+            .find(|&h| block_of(h) <= tile_cells.max(1) && bits[h..].iter().sum::<u32>() <= 32)
+            .unwrap_or(k);
+        let block = block_of(high);
+        let mut shift = vec![0u32; k];
+        let mut used = 0;
+        for a in high..k {
+            shift[a] = used;
+            used += bits[a];
+        }
+
+        // Codes, kept up to date incrementally along the in-tile walk.
+        let mut codes = vec![0u32; block.next_multiple_of(LANES)];
+        let mut q = vec![0u32; k];
+        let mut code = 0u32;
+        for slot in &mut codes[..block] {
+            *slot = code;
+            for a in (high..k).rev() {
+                if q[a] + 1 < dims[a] {
+                    if q[a] < bits[a] {
+                        code |= 1 << (shift[a] + q[a]);
+                    }
+                    q[a] += 1;
+                    break;
+                }
+                let field = u32::MAX
+                    .checked_shr(32 - bits[a])
+                    .unwrap_or(0)
+                    .checked_shl(shift[a])
+                    .unwrap_or(0);
+                code &= !field;
+                q[a] = 0;
+            }
+        }
+
+        let steps = transitions
+            .iter()
+            .enumerate()
+            .filter(|(_, (c, _))| live(c))
+            .map(|(t_idx, (c, offset))| {
+                debug_assert_eq!(*offset, table.index(c), "offset of {c:?}");
+                let lo: usize = (high..k).map(|a| c[a] as usize * strides[a]).sum();
+                let need = (high..k)
+                    .filter(|&a| c[a] > 0)
+                    .fold(0, |need, a| need | 1 << (shift[a] + c[a] - 1));
+                let window_end = if c[..high].iter().any(|&x| x > 0) {
+                    (block + lo + 1).saturating_sub(LANES)
+                } else if lo >= LANES {
+                    usize::MAX
+                } else {
+                    0
+                };
+                Step {
+                    t_idx,
+                    offset: *offset,
+                    lo,
+                    need,
+                    window_end,
+                }
+            })
+            .collect();
+
+        // Counting sort of the tiles by prefix digit sum.
+        let high_dims = &dims[..high];
+        let tiles = table.len / block;
+        assert!(
+            u32::try_from(tiles).is_ok(),
+            "table too large for u32 tile indices ({tiles} tiles)"
+        );
+        let levels = high_dims.iter().map(|&d| d as usize - 1).sum::<usize>() + 1;
+        let mut starts = vec![0usize; levels + 1];
+        let mut prefix = vec![0u32; high];
+        let mut sum = 0u32;
+        for _ in 0..tiles {
+            starts[sum as usize + 1] += 1;
+            increment_with_sum(&mut prefix, high_dims, &mut sum);
+        }
+        for l in 0..levels {
+            starts[l + 1] += starts[l];
+        }
+        let mut cursor = starts[..levels].to_vec();
+        let mut order = vec![0u32; tiles];
+        for tile in 0..tiles {
+            // audit:allow(cast): tile < tiles, asserted to fit u32 above.
+            order[cursor[sum as usize]] = tile as u32;
+            cursor[sum as usize] += 1;
+            increment_with_sum(&mut prefix, high_dims, &mut sum);
+        }
+        Self {
+            high,
+            block,
+            tile_strides: strides[..high].iter().map(|&s| s / block).collect(),
+            codes,
+            steps,
+            order,
+            starts,
+        }
+    }
+
+    /// Number of levels (prefix digit sums), including level 0.
+    fn levels(&self) -> u32 {
+        // audit:allow(cast): levels ≤ 1 + Σ (dims[a] − 1), a sum of u32 radices.
+        (self.starts.len() - 1) as u32
+    }
+
+    /// The levels the sweep runs. A single-cell tile 0 holds only the
+    /// seeded `OPT(0)`, so its level is skipped.
+    fn swept_levels(&self) -> Range<u32> {
+        u32::from(self.block == 1)..self.levels()
+    }
+
+    /// The tiles of level `index`.
+    fn level(&self, index: u32) -> &[u32] {
+        let l = index as usize;
+        &self.order[self.starts[l]..self.starts[l + 1]]
+    }
+
+    /// Cell·transitions of one tile: the crossover's unit of work.
+    fn cells_per_tile_transitions(&self) -> u64 {
+        (self.block * self.steps.len()) as u64
+    }
+}
+
+/// The tiled persistent-pool sweep on a caller-owned row-major table.
 ///
 /// Public so the `pcmax-audit` interleaving suite can drive the sweep on a
 /// caller-owned table and compare the filled values bit-for-bit against the
-/// sequential DP under many explored schedules. Falls back to
-/// [`serial_sweep`] when `table` is not level-major (results are identical
-/// either way).
+/// sequential DP under many explored schedules.
 pub fn bucketed_sweep(
     table: &mut DpTable,
     configs: &[(Vec<u32>, usize)],
@@ -477,12 +649,10 @@ pub fn bucketed_sweep(
     bucketed_sweep_space(table, &PcmaxSpace::new(configs), threads, scratch)
 }
 
-/// [`bucketed_sweep`] generalized over the [`StateSpace`] seam: the same
-/// zero-allocation persistent-pool executor, with the space's `step_allowed`
-/// filter applied between the barrier-sealed read and the min-reduce. On
-/// [`PcmaxSpace`] the filter is the always-true default and the sweep
-/// monomorphizes back to the identical-machine kernel. Uses the default
-/// strip kernel and chunk policy; see [`bucketed_sweep_space_with`].
+/// [`bucketed_sweep`] generalized over the [`StateSpace`] seam: the space's
+/// step filter is applied between the sealed read and the min-reduce. On
+/// [`PcmaxSpace`] the filter is the always-true default and compiles away.
+/// Uses the default chunk policy; see [`bucketed_sweep_space_with`].
 pub fn bucketed_sweep_space<S: StateSpace>(
     table: &mut DpTable,
     space: &S,
@@ -500,7 +670,7 @@ pub fn bucketed_sweep_space<S: StateSpace>(
 }
 
 /// [`bucketed_sweep_space`] with an explicit cell kernel and chunk policy
-/// (the bench harness measures every combination; results are identical).
+/// (the bench harness measures both policies; results are identical).
 ///
 /// On a kernel panic the pool winds down, every worker's [`KernelScratch`]
 /// is returned to `scratch` first, and only then is the payload re-raised —
@@ -511,15 +681,38 @@ pub fn bucketed_sweep_space_with<S: StateSpace>(
     space: &S,
     threads: usize,
     scratch: &mut DpScratch,
-    cell_kernel: CellKernel,
+    _kernel: CellKernel,
     chunking: Chunking,
 ) {
-    let Some(layout) = table.layout.as_ref() else {
-        serial_sweep(table, space);
-        return;
-    };
+    tiled_sweep(table, space, threads, scratch, chunking, TILE_CELLS)
+}
+
+/// [`bucketed_sweep_space`] with an explicit tile bound, for the audit
+/// suites: the production bound of an audit build is one cell, so this is
+/// how they explore multi-cell tiles and the window loads of [`sweep_tile`].
+#[cfg(feature = "audit")]
+pub fn bucketed_sweep_tiles<S: StateSpace>(
+    table: &mut DpTable,
+    space: &S,
+    threads: usize,
+    scratch: &mut DpScratch,
+    tile_cells: usize,
+) {
+    tiled_sweep(table, space, threads, scratch, Chunking::Static, tile_cells)
+}
+
+/// The tiled sweep with at most `tile_cells` cells per tile.
+fn tiled_sweep<S: StateSpace>(
+    table: &mut DpTable,
+    space: &S,
+    threads: usize,
+    scratch: &mut DpScratch,
+    chunking: Chunking,
+    tile_cells: usize,
+) {
     let transitions = space.transitions();
-    let levels = table.levels();
+    let tiling = &Tiling::new(table, transitions, tile_cells);
+    let levels = tiling.swept_levels();
     // The crossover: a level goes to the pool only if its predicted work
     // beats the handoff. If none does, the sweep spawns no pool at all.
     let crossover =
@@ -527,29 +720,15 @@ pub fn bucketed_sweep_space_with<S: StateSpace>(
     let mut plan = SweepPlan {
         crossover,
         threads: threads.max(1),
-        layout,
-        transitions: transitions.len() as u64,
+        tiling,
         handoffs: (0, 0),
     };
-    let n = if plan.threads > 1 && (1..levels).any(|index| plan.decide(index)) {
+    let n = if plan.threads > 1 && levels.clone().any(|index| plan.decide(index)) {
         plan.threads
     } else {
         1
     };
     let states = scratch.take_kernel_bufs(n);
-    let strides = &table.strides;
-    let dims = &table.dims;
-    let k = dims.len();
-    // The intrinsic fit compare is a signed 32-bit `>`; radices are job
-    // counts + 1, bounded by the table size, so this can only fire on an
-    // absurd hand-built table — checked once instead of trusted per lane.
-    assert!(
-        dims.iter().all(|&d| d < 1 << 31),
-        "radix overflows the lane compare"
-    );
-    let tile_cells = tile_cells_for(k);
-    let perm = layout.perm();
-    let inv = layout.inv();
     let cells = shared_cells(&mut table.values);
     let planner = &ChunkPlanner::new(n, chunking);
     // Per-worker busy counters resolved once per sweep: `with_label` takes
@@ -565,70 +744,30 @@ pub fn bucketed_sweep_space_with<S: StateSpace>(
     let sampled = &[AtomicU64::new(0), AtomicU64::new(0)];
 
     let kernel = |w: usize, level: Level, kb: &mut KernelScratch| {
-        let span = layout.level_span(level.index);
-        let (clo, chi) = planner.bounds(w, level, span.len());
-        let lo = span.start + clo;
-        let hi = span.start + chi;
+        let tiles = tiling.level(level.index);
+        let (lo, hi) = planner.bounds(w, level, tiles.len());
         if lo >= hi {
             return;
         }
-        pcmax_trace::chunk_decision(w as u64, (hi - lo) as u64);
-        crate::metrics::CHUNK_CELLS.observe((hi - lo) as u64);
+        let chunk_cells = (hi - lo) * tiling.block;
+        pcmax_trace::chunk_decision(w as u64, chunk_cells as u64);
+        crate::metrics::CHUNK_CELLS.observe(chunk_cells as u64);
         // Chunk span and chunk-size observation only — no trace or metric
-        // hooks inside the cell loops below (enforced by the audit lint's
+        // hooks inside the strip loop (enforced by the audit lint's
         // trace-hot rule).
         let _chunk_span = pcmax_trace::span("chunk", w as u64);
         let t0 = (crossover.is_some() || busy.is_some()).then(std::time::Instant::now);
-        match cell_kernel {
-            CellKernel::Strip => {
-                kb.prepare(k, tile_cells);
-                // One ISA dispatch per chunk: on an AVX2 CPU running a
-                // baseline build, the whole tile walk re-enters through the
-                // `target_feature` trampoline and the lane loops widen. The
-                // closure is forced inline: the widening only happens if the
-                // tile walk is codegenned inside the trampoline, and the
-                // inliner's own choice flips with unrelated code changes.
-                simd::dispatch(
-                    #[inline(always)]
-                    || {
-                        strip_chunk(
-                            space,
-                            transitions,
-                            cells,
-                            kb,
-                            dims,
-                            strides,
-                            perm,
-                            inv,
-                            tile_cells,
-                            span.start,
-                            lo,
-                            hi,
-                        )
-                    },
-                );
-            }
-            CellKernel::Scalar => scalar_chunk(
-                space,
-                transitions,
-                cells,
-                &mut kb.digits,
-                dims,
-                strides,
-                perm,
-                inv,
-                span.start,
-                lo,
-                hi,
-            ),
+        kb.prepare(tiling.high, tiling.steps.len());
+        for &tile in &tiles[lo..hi] {
+            sweep_tile(space, transitions, tiling, cells, tile as usize, kb);
         }
         if let Some(t0) = t0 {
             let nanos = t0.elapsed().as_nanos() as u64;
             if let Some(busy) = busy {
                 busy[w].inc_by(nanos);
             }
-            planner.record(w, level, hi - lo, nanos);
-            let ct = (hi - lo) as u64 * transitions.len() as u64;
+            planner.record(w, level, chunk_cells, nanos);
+            let ct = (hi - lo) as u64 * tiling.cells_per_tile_transitions();
             if w == 0 && crossover.is_some() && ct >= Crossover::MIN_SAMPLE_CT {
                 sampled[0].fetch_add(nanos, Ordering::SeqCst);
                 sampled[1].fetch_add(ct, Ordering::SeqCst);
@@ -637,13 +776,14 @@ pub fn bucketed_sweep_space_with<S: StateSpace>(
     };
 
     let sweep_start = std::time::Instant::now();
+    let swept = u64::from(levels.end - levels.start);
     let (states, counters, panicked) =
-        persistent::run_levels_catching(states, 1..levels, &mut plan, kernel);
+        persistent::run_levels_catching(states, levels, &mut plan, kernel);
     // Busy-fraction denominator: each of the n workers could at most have
     // been busy for the whole sweep extent.
     crate::metrics::POOL_EXTENT_NANOS.inc_by(sweep_start.elapsed().as_nanos() as u64 * n as u64);
     scratch.return_kernel_bufs(states);
-    scratch.levels_swept += levels.saturating_sub(1) as u64;
+    scratch.levels_swept += swept;
     scratch.cells_computed += (table.len - 1) as u64;
     scratch.pool_parks += counters.parks;
     scratch.pool_wakes += counters.wakes;
@@ -661,209 +801,117 @@ pub fn bucketed_sweep_space_with<S: StateSpace>(
     }
 }
 
-/// The pre-batching per-cell kernel over one chunk: one decode at the chunk
-/// head, the incremental [`next_in_level`] walk, and a scalar min-reduce
-/// per cell.
-#[allow(clippy::too_many_arguments)]
-fn scalar_chunk<S: StateSpace>(
+/// Sweeps one tile serially, in strips of [`LANES`] cells.
+///
+/// 1. **Tile-level skip** — a transition whose high-order part exceeds the
+///    tile's prefix fits no cell of the tile and is dropped for all of it.
+///    For the rest, fit depends only on the low-order digits.
+/// 2. **Window loads** — for each strip at in-tile position `j`, every
+///    transition the window rule allows (see [`Step::window_end`]) is read
+///    with one contiguous load `values[base + j − offset..][..LANES]`,
+///    masked by the strip's fit test (one AND/compare of each cell's unary
+///    threshold code against the transition's needed bits), filtered by
+///    the space and folded with a lane-parallel min. In row-major order
+///    `rank(v − c) = rank(v) − offset(c)` for every lane, which is what
+///    makes the load contiguous.
+/// 3. **Lane finish** — the strip's other transitions (in-tile offset
+///    below [`LANES`], or windows that would leave their source tile) are
+///    finished cell by cell in rank order, each cell written as soon as it
+///    is final, so a short offset reads an already-final cell of the same
+///    strip.
+///
+/// Bit-identity with the serial engine: a cell's candidates are exactly
+/// the transitions that fit it (the high part by the skip, the low part by
+/// the code test) and pass the step filter, so it sees the same
+/// min-reduction; `min` is order-free.
+#[inline(always)]
+fn sweep_tile<S: StateSpace>(
     space: &S,
     transitions: &[(Config, usize)],
+    tiling: &Tiling,
     cells: &[SyncCell],
-    digits: &mut Vec<u32>,
-    dims: &[u32],
-    strides: &[usize],
-    perm: &[u32],
-    inv: &[u32],
-    span_start: usize,
-    lo: usize,
-    hi: usize,
-) {
-    // One decode per chunk; every later cell advances incrementally.
-    decode_into(inv[lo] as usize, strides, digits);
-    for p in lo..hi {
-        let rank = inv[p] as usize;
-        debug_assert_eq!(
-            digits
-                .iter()
-                .zip(strides)
-                .map(|(&d, &s)| d as usize * s)
-                .sum::<usize>(),
-            rank,
-            "incremental in-level decode diverged from the layout"
-        );
-        let mut best = INFEASIBLE;
-        for (t_idx, (c, offset)) in transitions.iter().enumerate() {
-            if fits(c, digits) {
-                let src = perm[rank - offset] as usize;
-                debug_assert!(
-                    *offset > 0 && src < span_start,
-                    "wavefront read {src} must lie strictly below the level slice"
-                );
-                sync::trace_read(src);
-                // SAFETY: `src` is below this level's slice, hence on a
-                // level sealed by the pool barrier — no concurrent write.
-                let below = unsafe { cells[src].get() };
-                if space.step_allowed(t_idx, below) {
-                    best = best.min(below);
-                }
-            }
-        }
-        sync::trace_write(p);
-        // SAFETY: `p` lies in this worker's private chunk of the level
-        // slice — the unique writer precondition.
-        unsafe { cells[p].set(best.saturating_add(1)) };
-        if p + 1 < hi {
-            let advanced = next_in_level(digits, dims);
-            debug_assert!(advanced, "level slice ended before the chunk did");
-        }
-    }
-}
-
-/// Fixed-width view of one strip row of the scratch buffers.
-#[inline(always)]
-fn strip_row<T>(row: &[T]) -> &[T; STRIP_LANES] {
-    // audit:allow(unwrap): a strip row is exactly STRIP_LANES elements by construction.
-    row.try_into().expect("strip row")
-}
-
-/// Mutable fixed-width view of one strip row of the scratch buffers.
-#[inline(always)]
-fn strip_row_mut<T>(row: &mut [T]) -> &mut [T; STRIP_LANES] {
-    // audit:allow(unwrap): a strip row is exactly STRIP_LANES elements by construction.
-    row.try_into().expect("strip row")
-}
-
-/// The batched lane-parallel kernel over one chunk.
-///
-/// Cells are walked in strips of [`STRIP_LANES`] and strips are grouped
-/// into L1-sized tiles (see [`tile_cells_for`]). Per tile:
-///
-/// 1. **record** — advance the mixed-radix walk a strip at a time
-///    ([`strip_digits`]), transposing digits class-major into the block so
-///    a transition's fit check is one lane-parallel compare per class;
-///    stash each cell's row-major rank. Ragged final strips are padded
-///    with all-zero digit lanes — no (nonzero) transition fits them, so
-///    the mask keeps padding out of every gather.
-/// 2. **reduce** — transitions outermost, then strips: accumulate the
-///    per-lane misfit mask ([`simd::accum_gt_mask_u32`]), gather the
-///    barrier-sealed predecessor values for the surviving lanes, apply the
-///    space's batched step filter, and fold with a lane-parallel min.
-///    Keeping the transition outermost means its predecessor window (one
-///    fixed offset below the tile) is revisited while cache-resident.
-/// 3. **write back** — saturating `+1` per lane (INFEASIBLE stays
-///    absorbing) and an in-place scatter of the real (unpadded) lanes.
-///
-/// Bit-identity with [`scalar_chunk`]: a lane contributes `below` exactly
-/// when the componentwise fit passes and the step filter allows it —
-/// otherwise it contributes `INFEASIBLE`, the identity of `min` — and the
-/// fold preserves the transition order, so every cell sees the same
-/// min-reduction the scalar kernel computes.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn strip_chunk<S: StateSpace>(
-    space: &S,
-    transitions: &[(Config, usize)],
-    cells: &[SyncCell],
+    tile: usize,
     kb: &mut KernelScratch,
-    dims: &[u32],
-    strides: &[usize],
-    perm: &[u32],
-    inv: &[u32],
-    tile_cells: usize,
-    span_start: usize,
-    lo: usize,
-    hi: usize,
 ) {
-    const W: usize = STRIP_LANES;
-    let k = dims.len();
     let KernelScratch {
         digits,
-        block,
-        ranks,
-        best,
+        steps,
+        lanes,
     } = kb;
-    decode_into(inv[lo] as usize, strides, digits);
-    debug_assert_eq!(digits.len(), k, "decode_into yields one digit per class");
-    let mut p = lo;
-    while p < hi {
-        let tile_end = (p + tile_cells).min(hi);
-        let strips = (tile_end - p).div_ceil(W);
-        for s in 0..strips {
-            let first = p + s * W;
-            let width = W.min(tile_end - first);
-            let sb = &mut block[s * k * W..(s + 1) * k * W];
-            let contiguous = strip_digits(digits, dims, sb, width);
-            debug_assert!(contiguous, "level slice ended before the strip did");
-            debug_assert_eq!(
-                (0..k)
-                    .map(|a| sb[a * W] as usize * strides[a])
-                    .sum::<usize>(),
-                inv[first] as usize,
-                "incremental strip walk diverged from the layout"
-            );
-            for (i, r) in ranks[s * W..s * W + width].iter_mut().enumerate() {
-                *r = inv[first + i];
-            }
-            for a in 0..k {
-                for lane in &mut sb[a * W + width..(a + 1) * W] {
-                    *lane = 0;
-                }
-            }
-            if first + width < hi {
-                let advanced = next_in_level(digits, dims);
-                debug_assert!(advanced, "level slice ended before the chunk did");
+    let block = tiling.block;
+    let base = tile * block;
+    let mut rest = tile;
+    for (d, &stride) in digits.iter_mut().zip(&tiling.tile_strides) {
+        *d = rest / stride;
+        rest %= stride;
+    }
+    let prefix = &digits[..tiling.high];
+    let mut live = 0;
+    for (i, step) in tiling.steps.iter().enumerate() {
+        let c = &transitions[step.t_idx].0;
+        if c.iter()
+            .zip(prefix)
+            .all(|(&need, &have)| need as usize <= have)
+        {
+            steps[live] = i;
+            live += 1;
+        }
+    }
+    let live = &steps[..live];
+    for j in (0..block).step_by(LANES) {
+        let width = LANES.min(block - j);
+        let codes: &[u32; LANES] = tiling.codes[j..j + LANES]
+            .try_into()
+            .unwrap_or_else(|_| unreachable!("codes are padded to whole strips"));
+        let mut best = [INFEASIBLE; LANES];
+        let mut finish = 0;
+        for &i in live {
+            let step = &tiling.steps[i];
+            if step.lo <= j && j < step.window_end {
+                // SAFETY: the window rule (`Step::window_end`): every lane
+                // lies in the sealed source tile or before this strip.
+                let mut below = unsafe { load_window(cells, base + j - step.offset) };
+                fit_select_u16(&mut below, codes, step.need);
+                space.value_of_batch(step.t_idx, &mut below);
+                min_assign_u16(&mut best, &below);
+            } else if step.lo < j + width {
+                lanes[finish] = i;
+                finish += 1;
             }
         }
-        for b in &mut best[..strips * W] {
-            *b = INFEASIBLE;
+        // Rank 0 holds the seeded OPT(0) and is never rewritten.
+        let from = usize::from(base + j == 0);
+        if finish == 0 {
+            saturating_add1_u16(&mut best);
+            for (lane, &value) in best.iter().enumerate().take(width).skip(from) {
+                sync::trace_write(base + j + lane);
+                // SAFETY: this tile belongs to this worker alone within the
+                // level — the unique writer precondition.
+                unsafe { cells[base + j + lane].set(value) };
+            }
+            continue;
         }
-        for (t_idx, (c, offset)) in transitions.iter().enumerate() {
-            debug_assert!(*offset > 0, "transitions must advance the wavefront");
-            for s in 0..strips {
-                let sb = &block[s * k * W..(s + 1) * k * W];
-                let mut misfit = [0u32; W];
-                for (a, &needed) in c.iter().enumerate() {
-                    if needed == 0 {
-                        continue;
+        for (lane, &code) in codes.iter().enumerate().take(width).skip(from) {
+            let pos = base + j + lane;
+            let mut value = best[lane];
+            for &i in &lanes[..finish] {
+                let step = &tiling.steps[i];
+                if code & step.need == step.need {
+                    let src = pos - step.offset;
+                    sync::trace_read(src);
+                    // SAFETY: the transition fits, so `src` lies in the
+                    // sealed source tile or earlier in this tile — final
+                    // cells with no concurrent writer.
+                    let below = unsafe { cells[src].get() };
+                    if space.step_allowed(step.t_idx, below) {
+                        value = value.min(below);
                     }
-                    simd::accum_gt_mask_u32(
-                        &mut misfit,
-                        needed,
-                        strip_row(&sb[a * W..(a + 1) * W]),
-                    );
                 }
-                let mut below = [INFEASIBLE; W];
-                for (i, b) in below.iter_mut().enumerate() {
-                    if misfit[i] == 0 {
-                        let src = perm[ranks[s * W + i] as usize - offset] as usize;
-                        debug_assert!(
-                            src < span_start,
-                            "wavefront read {src} must lie strictly below the level slice"
-                        );
-                        sync::trace_read(src);
-                        // SAFETY: `src` is below this level's slice, hence
-                        // on a level sealed by the pool barrier — no
-                        // concurrent write.
-                        *b = unsafe { cells[src].get() };
-                    }
-                }
-                space.value_of_batch(t_idx, &mut below);
-                simd::min_assign_u16(strip_row_mut(&mut best[s * W..(s + 1) * W]), &below);
             }
+            sync::trace_write(pos);
+            // SAFETY: as above, this worker is the tile's unique writer.
+            unsafe { cells[pos].set(value.saturating_add(1)) };
         }
-        for s in 0..strips {
-            let first = p + s * W;
-            let width = W.min(tile_end - first);
-            let acc = strip_row_mut(&mut best[s * W..(s + 1) * W]);
-            simd::saturating_add1_u16(acc);
-            for (i, out) in cells[first..first + width].iter().enumerate() {
-                sync::trace_write(first + i);
-                // SAFETY: positions in this worker's private chunk of the
-                // level slice — the unique writer precondition.
-                unsafe { out.set(acc[i]) };
-            }
-        }
-        p = tile_end;
     }
 }
 
@@ -963,7 +1011,8 @@ fn faithful_sweep_space<S: StateSpace>(
 mod tests {
     use super::*;
     use pcmax_ptas::dp::{verify_witness, DpProblem, MemoizedDp};
-    use pcmax_ptas::space::{QSpace, SerialEngine};
+    use pcmax_ptas::space::{serial_sweep, QSpace, SerialEngine};
+    use proptest::prelude::*;
 
     fn problems() -> Vec<DpProblem> {
         let mut out = Vec::new();
@@ -1053,15 +1102,23 @@ mod tests {
 
     #[test]
     fn pool_counters_balance_and_surface_through_scratch() {
-        // `Static` pools every level: the adaptive crossover would run a
-        // table this small inline and never park.
+        // Single-cell tiles give Table I its 6 cell levels, and `Static`
+        // pools every level: the adaptive crossover would run a table this
+        // small inline and never park.
         let mut scratch = DpScratch::new();
         let problem = &problems()[0]; // 12 entries, 6 levels
-        let dp = ParallelDp {
-            chunking: Chunking::Static,
-            ..ParallelDp::with_threads(4)
-        };
-        dp.solve_in(problem, &mut scratch).unwrap();
+        let mut table = problem.build_table_in(&mut scratch).unwrap();
+        let configs = problem.configs_with_offsets(&table);
+        table.values[0] = 0;
+        tiled_sweep(
+            &mut table,
+            &PcmaxSpace::new(&configs),
+            4,
+            &mut scratch,
+            Chunking::Static,
+            1,
+        );
+        assert_eq!(table.values, vec![0, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 2]);
         assert_eq!(
             scratch.pool_parks, scratch.pool_wakes,
             "every entered condvar wait must return"
@@ -1074,33 +1131,32 @@ mod tests {
         assert_eq!(scratch.cells_computed, 11);
     }
 
+    /// Every tile bound from single cells to one tile per table, every
+    /// chunk policy and pool width: the same table as the serial engine.
     #[test]
-    fn scalar_and_strip_kernels_match_bit_for_bit() {
+    fn every_tile_bound_matches_the_serial_engine() {
         for problem in problems() {
+            let mut want = problem.build_table().unwrap();
+            let configs = problem.configs_with_offsets(&want);
+            serial_sweep(&mut want, &PcmaxSpace::new(&configs));
             let mut scratch = DpScratch::new();
-            let mut want = None;
-            for kernel in [CellKernel::Scalar, CellKernel::Strip] {
+            for tile_cells in [1usize, 2, 3, 4, 5, 12, TILE_CELLS] {
                 for chunking in [Chunking::Static, Chunking::Adaptive] {
                     for threads in [1usize, 2, 4] {
-                        let mut table = problem.build_level_major_table_in(&mut scratch).unwrap();
-                        let configs = problem.configs_with_offsets(&table);
+                        let mut table = problem.build_table_in(&mut scratch).unwrap();
                         table.values[0] = 0;
-                        bucketed_sweep_space_with(
+                        tiled_sweep(
                             &mut table,
                             &PcmaxSpace::new(&configs),
                             threads,
                             &mut scratch,
-                            kernel,
                             chunking,
+                            tile_cells,
                         );
-                        let got = table.values_row_major();
-                        match &want {
-                            None => want = Some(got),
-                            Some(w) => assert_eq!(
-                                &got, w,
-                                "{kernel:?}/{chunking:?}/{threads} threads diverged"
-                            ),
-                        }
+                        assert_eq!(
+                            table.values, want.values,
+                            "{tile_cells}-cell tiles, {chunking:?}, {threads} threads"
+                        );
                         scratch.recycle(table);
                     }
                 }
@@ -1108,14 +1164,234 @@ mod tests {
         }
     }
 
+    /// A space over a hand-picked transition set, which need not be
+    /// downward closed: the fit test is then the only thing keeping a
+    /// window lane of a non-fitting cell out of its min.
+    struct Subset(Vec<(Config, usize)>);
+
+    impl StateSpace for Subset {
+        fn transitions(&self) -> &[(Config, usize)] {
+            &self.0
+        }
+    }
+
+    /// Which state space a test sweeps.
+    #[derive(Debug, Clone, Copy)]
+    enum Space<'a> {
+        Pcmax,
+        Q(&'a [u64]),
+        /// The configs whose index bit (mod 64) is set.
+        Subset(u64),
+    }
+
+    /// The serial engine's table and the tiled sweep's for `problem`.
+    fn serial_and_tiled(
+        problem: &DpProblem,
+        space: Space<'_>,
+        threads: usize,
+        chunking: Chunking,
+        tile_cells: usize,
+    ) -> (Vec<u16>, Vec<u16>) {
+        fn both<S: StateSpace>(
+            want: &mut DpTable,
+            got: &mut DpTable,
+            space: &S,
+            threads: usize,
+            chunking: Chunking,
+            tile_cells: usize,
+        ) {
+            serial_sweep(want, space);
+            let mut scratch = DpScratch::new();
+            got.values[0] = 0;
+            tiled_sweep(got, space, threads, &mut scratch, chunking, tile_cells);
+        }
+        let mut want = problem.build_table().unwrap();
+        let mut got = problem.build_table().unwrap();
+        let configs = problem.configs_with_offsets(&want);
+        let sizes = want.sizes.clone();
+        let run = (threads, chunking, tile_cells);
+        match space {
+            Space::Pcmax => both(
+                &mut want,
+                &mut got,
+                &PcmaxSpace::new(&configs),
+                run.0,
+                run.1,
+                run.2,
+            ),
+            Space::Q(caps) => {
+                let space = QSpace::new(&configs, &sizes, caps);
+                both(&mut want, &mut got, &space, run.0, run.1, run.2)
+            }
+            Space::Subset(keep) => {
+                let subset = configs
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| keep >> (i % 64) & 1 == 1)
+                    .map(|(_, t)| t.clone())
+                    .collect();
+                both(&mut want, &mut got, &Subset(subset), run.0, run.1, run.2)
+            }
+        }
+        (want.values, got.values)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random shapes (one class, radix-2 classes, σ < 16, blocks that
+        /// are not whole strips, in-tile offsets below and above a strip)
+        /// under random tile bounds: the full table equals the serial
+        /// engine's for both spaces and for a random subset of the
+        /// transitions, at every pool width and chunk policy.
+        #[test]
+        fn tiled_sweep_matches_the_serial_engine_on_random_shapes(
+            counts in prop::collection::vec(0u32..=5, 1..=4),
+            unit in 1u64..=3,
+            slack in 0u64..=20,
+            tile_cells in 1usize..=80,
+            mut caps in prop::collection::vec(0u64..=40, 1..=5),
+            keep in any::<u64>(),
+        ) {
+            caps.sort_unstable_by(|a, b| b.cmp(a));
+            let target = unit * counts.len() as u64 + slack;
+            let problem = DpProblem::new(counts, unit, target, 64);
+            for space in [Space::Pcmax, Space::Q(&caps), Space::Subset(keep)] {
+                for chunking in [Chunking::Static, Chunking::Adaptive] {
+                    for threads in [1usize, 2, 4] {
+                        let (want, got) =
+                            serial_and_tiled(&problem, space, threads, chunking, tile_cells);
+                        prop_assert_eq!(
+                            got,
+                            want,
+                            "{:?}, {:?}, {} threads, {}-cell tiles",
+                            space,
+                            chunking,
+                            threads,
+                            tile_cells
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_lane_of_a_cell_the_transition_misses_is_masked() {
+        // dims [2, 20], one 40-cell tile. Transition (0, 17) loads a window
+        // at strip 32, whose cell (1, 14) it does not fit: that lane reads
+        // (0, 17), which is 1, but (1, 14) is unreachable with only (0, 17)
+        // and (1, 0), so the fit test alone keeps it INFEASIBLE.
+        let table = DpTable::new(&[1, 19], 1, 1 << 20).unwrap();
+        let space = Subset(vec![(vec![0, 17], 17), (vec![1, 0], 20)]);
+        let mut want = table.clone();
+        serial_sweep(&mut want, &space);
+        assert_eq!(want.values[table.index(&[1, 14])], INFEASIBLE);
+        assert_eq!(want.values[table.index(&[1, 17])], 2);
+        for threads in [1usize, 2] {
+            let mut got = table.clone();
+            got.values[0] = 0;
+            tiled_sweep(
+                &mut got,
+                &space,
+                threads,
+                &mut DpScratch::new(),
+                Chunking::Static,
+                8 << 10,
+            );
+            assert_eq!(got.values, want.values, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn tiling_picks_the_fewest_high_classes_and_orders_tiles_by_level() {
+        // dims [3, 4, 5]: 60 cells. A bound of 20 cells keeps the last two
+        // classes low (a block of 20), so the 3 tiles are the values of the
+        // first digit, one per level.
+        let problem = DpProblem::new(vec![2, 3, 4], 1, 6, 64);
+        let table = problem.build_table().unwrap();
+        let configs = problem.configs_with_offsets(&table);
+        let tiling = Tiling::new(&table, &configs, 20);
+        assert_eq!((tiling.high, tiling.block), (1, 20));
+        assert_eq!(tiling.levels(), 3);
+        assert_eq!(tiling.swept_levels(), 0..3);
+        assert_eq!(tiling.codes.len(), 32, "codes pad to whole strips");
+        for l in 0..3 {
+            assert_eq!(tiling.level(l), &[l]);
+        }
+        // A bound of 19 needs two high classes: blocks of 5, tiles over
+        // dims [3, 4] grouped by digit sum, ascending within a level.
+        let tiling = Tiling::new(&table, &configs, 19);
+        assert_eq!((tiling.high, tiling.block), (2, 5));
+        assert_eq!(tiling.level(0), &[0]);
+        assert_eq!(tiling.level(1), &[1, 4]);
+        assert_eq!(tiling.level(2), &[2, 5, 8]);
+        assert_eq!(tiling.level(5), &[11]);
+        // Single-cell tiles: level 0 is tile 0 alone, the seed, and is skipped.
+        let tiling = Tiling::new(&table, &configs, 1);
+        assert_eq!((tiling.high, tiling.block), (3, 1));
+        assert_eq!(tiling.swept_levels(), 1..10);
+    }
+
+    #[test]
+    fn codes_are_unary_thresholds_of_the_low_digits() {
+        // One class of radix 5 whose configs take up to 3 jobs: 3 code
+        // bits, the lowest q set for digit q (capped at 3), and a config of
+        // c jobs needs bit c − 1.
+        let problem = DpProblem::new(vec![4], 2, 6, 64);
+        let table = problem.build_table().unwrap();
+        let configs = problem.configs_with_offsets(&table);
+        let tiling = Tiling::new(&table, &configs, 8 << 10);
+        assert_eq!(&tiling.codes[..5], &[0b000, 0b001, 0b011, 0b111, 0b111]);
+        let needs: Vec<u32> = tiling.steps.iter().map(|s| s.need).collect();
+        assert_eq!(needs, vec![0b001, 0b010, 0b100]);
+        // The same class as a high-order digit needs no code bits at all.
+        let tiling = Tiling::new(&table, &configs, 1);
+        assert!(tiling.steps.iter().all(|s| s.need == 0 && s.lo == 0));
+    }
+
+    #[test]
+    fn window_rule_keeps_every_load_inside_sealed_cells() {
+        // dims [3, 40]: a bound of 40 makes the second class the block.
+        let problem = DpProblem::new(vec![2, 39], 1, 60, 64);
+        let table = problem.build_table().unwrap();
+        let configs = problem.configs_with_offsets(&table);
+        let tiling = Tiling::new(&table, &configs, 40);
+        assert_eq!((tiling.high, tiling.block), (1, 40));
+        for step in &tiling.steps {
+            let cross = step.offset >= tiling.block;
+            for j in (0..tiling.block).step_by(LANES) {
+                if !(step.lo <= j && j < step.window_end) {
+                    continue;
+                }
+                let (first, last) = (j - step.lo, j - step.lo + LANES - 1);
+                if cross {
+                    assert!(last < tiling.block, "window leaves the source tile");
+                } else {
+                    assert!(last < j, "window reaches into its own strip");
+                }
+                assert!(first <= last);
+            }
+        }
+        // Short same-tile offsets never load a window.
+        assert!(tiling
+            .steps
+            .iter()
+            .filter(|s| s.offset < LANES)
+            .all(|s| s.window_end == 0));
+    }
+
     #[test]
     fn panicking_sweep_returns_kernel_buffers_before_unwinding() {
-        /// A state space whose batched filter detonates: every strip-kernel
-        /// chunk with at least one transition panics mid-level.
+        /// A state space whose step filter detonates: every chunk with at
+        /// least one fitting transition panics mid-level.
         struct Bomb<'a>(PcmaxSpace<'a>);
         impl StateSpace for Bomb<'_> {
             fn transitions(&self) -> &[(Config, usize)] {
                 self.0.transitions()
+            }
+            fn step_allowed(&self, _t_idx: usize, _below: u16) -> bool {
+                panic!("rigged step filter");
             }
             fn value_of_batch(&self, _t_idx: usize, _below: &mut [u16]) {
                 panic!("rigged step filter");
@@ -1130,7 +1406,7 @@ mod tests {
             .unwrap();
         let allocs = scratch.kernel_allocs;
 
-        let mut table = problem.build_level_major_table_in(&mut scratch).unwrap();
+        let mut table = problem.build_table_in(&mut scratch).unwrap();
         let configs = problem.configs_with_offsets(&table);
         table.values[0] = 0;
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1155,11 +1431,11 @@ mod tests {
         );
     }
 
-    /// Sweeps `problem` at `threads` under `chunking`; returns the
-    /// row-major values and the sweep's scratch counters.
+    /// Sweeps `problem` at `threads` under `chunking`; returns the values
+    /// and the sweep's scratch counters.
     fn swept(problem: &DpProblem, threads: usize, chunking: Chunking) -> (Vec<u16>, DpScratch) {
         let mut scratch = DpScratch::new();
-        let mut table = problem.build_level_major_table_in(&mut scratch).unwrap();
+        let mut table = problem.build_table_in(&mut scratch).unwrap();
         let configs = problem.configs_with_offsets(&table);
         table.values[0] = 0;
         bucketed_sweep_space_with(
@@ -1170,7 +1446,7 @@ mod tests {
             CellKernel::default(),
             chunking,
         );
-        (table.values_row_major(), scratch)
+        (table.values, scratch)
     }
 
     #[test]
@@ -1283,15 +1559,12 @@ mod tests {
                     index,
                     pooled: true,
                 };
-                for len in [0usize, 1, 5, STRIP_LANES, 1000, 1001] {
+                for len in [0usize, 1, 5, LANES, 1000, 1001] {
                     let mut expect = 0usize;
                     for w in 0..n {
                         let (lo, hi) = planner.bounds(w, level, len);
                         assert_eq!(lo, expect, "worker {w} must start where {w}-1 ended");
                         assert!(hi >= lo && hi <= len);
-                        if w + 1 < n && cfg!(not(feature = "audit")) && n > 1 {
-                            assert_eq!(hi % STRIP_LANES, 0, "interior bounds strip-aligned");
-                        }
                         expect = hi;
                     }
                     assert_eq!(expect, len, "the chunks must cover the level");
@@ -1312,25 +1585,21 @@ mod tests {
         counts[4] = 3;
         let problem = DpProblem::new(counts, 2, 30, 64);
         let mut scratch = DpScratch::new();
-        let mut table = problem.build_level_major_table_in(&mut scratch).unwrap();
+        let mut table = problem.build_table_in(&mut scratch).unwrap();
         let configs = problem.configs_with_offsets(&table);
         table.values[0] = 0;
         bucketed_sweep(&mut table, &configs, 2, &mut scratch);
-        assert_eq!(
-            table.values_row_major(),
-            vec![0, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 2],
-        );
+        assert_eq!(table.values, vec![0, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 2]);
     }
 
-    /// Sweeps `problem` under `caps` with `engine`, in the engine's layout;
-    /// returns the row-major values.
+    /// Sweeps `problem` under `caps` with `engine`; returns the values.
     fn swept_q<E: SpaceEngine>(engine: &E, problem: &DpProblem, caps: &[u64]) -> Vec<u16> {
         let mut scratch = DpScratch::new();
         let mut table = engine.table_for(problem, &mut scratch).unwrap();
         let configs = problem.configs_with_offsets(&table);
         let space = QSpace::new(&configs, &table.sizes, caps);
         engine.sweep(&mut table, &space, &mut scratch);
-        table.values_row_major()
+        table.values
     }
 
     #[test]
@@ -1400,17 +1669,5 @@ mod tests {
             .unwrap();
         assert_eq!(serial.target, parallel.target);
         assert_eq!(serial.schedule, parallel.schedule);
-    }
-
-    #[test]
-    fn row_major_fallback_still_fills_the_table() {
-        // `bucketed_sweep` on a table without a level-major layout degrades
-        // to the serial sweep with identical results.
-        let problem = &problems()[0];
-        let mut table = problem.build_table().unwrap();
-        let configs = problem.configs_with_offsets(&table);
-        table.values[0] = 0;
-        bucketed_sweep(&mut table, &configs, 2, &mut DpScratch::new());
-        assert_eq!(table.values, vec![0, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 2],);
     }
 }

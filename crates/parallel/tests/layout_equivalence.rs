@@ -1,8 +1,7 @@
-//! Property test for the satellite guarantee: solve results (machine count
-//! AND witness schedule) are identical between the row-major layout (the
-//! `SerialEngine` and the faithful full-scan executor) and the level-major
-//! layout (the persistent-pool `ParallelDp`) across random
-//! class-count vectors — bit-identical tables, not just equal optima.
+//! Property test: solve results (machine count AND witness schedule) are
+//! identical between the `SerialEngine`, the faithful full-scan executor
+//! and the tiled persistent-pool `ParallelDp` across random class-count
+//! vectors — bit-identical tables, not just equal optima.
 
 use pcmax_parallel::ParallelDp;
 use pcmax_ptas::dp::{verify_witness, DpProblem};
@@ -18,7 +17,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn level_major_solves_match_row_major_solves(
+    fn tiled_solves_match_serial_solves(
         problem in arb_problem(),
         threads in 1usize..=4,
     ) {

@@ -1,8 +1,8 @@
 //! The dynamic program at the heart of the PTAS (Algorithm 2): the rounded
 //! subproblem [`DpProblem`], the memoized top-down engine [`MemoizedDp`], and
 //! the epilogue every solve ends with ([`finish`]). All engines implement
-//! the one [`SpaceEngine`] trait, whose provided `solve_in` builds the table
-//! in the engine's layout, sweeps it and calls [`finish`].
+//! the one [`SpaceEngine`] trait, whose provided `solve_in` builds the
+//! row-major table, sweeps it and calls [`finish`].
 //!
 //! `OPT(v)` is the minimum number of machines that can run the rounded long
 //! jobs counted by `v` within the target makespan `T`:
@@ -60,12 +60,11 @@ impl DpProblem {
             .ok_or_else(|| self.table_error())
     }
 
-    /// Builds the dense table in level-major storage order (each
-    /// anti-diagonal level one contiguous slice) — the layout the wavefront
-    /// executors use for parallel in-place scatter.
+    /// Forwards to [`build_table_in`](Self::build_table_in): every table is
+    /// row-major. Kept only because `perfbench`'s replay calls it by this
+    /// name; the next change to the benchmark drops it.
     pub fn build_level_major_table_in(&self, scratch: &mut DpScratch) -> Result<DpTable> {
-        DpTable::new_level_major_in(&self.counts, self.unit, self.max_entries, scratch)
-            .ok_or_else(|| self.table_error())
+        self.build_table_in(scratch)
     }
 
     fn table_error(&self) -> Error {
@@ -194,8 +193,7 @@ pub fn finish(
 /// The epilogue every solve ends with: read `OPT(N)` (either sentinel reads
 /// as `u32::MAX`), extract the witness with the space's step filter if it
 /// fits the machine budget, then recycle the table's storage into the arena
-/// for the next probe. Reads go through [`DpTable::value_at`], so
-/// level-major tables work unchanged.
+/// for the next probe.
 pub fn finish_with<S: StateSpace>(
     problem: &DpProblem,
     table: DpTable,

@@ -59,7 +59,8 @@ pub trait StateSpace: Sync {
     }
 
     /// The batched form of [`step_allowed`](Self::step_allowed) used by the
-    /// strip kernel: given a whole strip of predecessor values for one
+    /// tiled kernel's window loads: given a whole strip of predecessor
+    /// values for one
     /// transition, replace every lane the filter rejects with
     /// [`INFEASIBLE`], so the subsequent lane-parallel min ignores it. The
     /// saturating `min`/`+1` keep the sentinel absorbing, so a rejected
@@ -190,8 +191,6 @@ impl StateSpace for QSpace<'_> {
 
 /// An engine that can fill a [`DpTable`] for any [`StateSpace`]: seeds
 /// `OPT(0) = 0` and computes every other entry with the min-reduce kernel.
-/// Engines may require a specific storage order via
-/// [`level_major`](SpaceEngine::level_major).
 ///
 /// Not object-safe (the sweep is generic over the space): callers that
 /// iterate over engines use closures or function pointers. `Sync`, because
@@ -200,25 +199,15 @@ pub trait SpaceEngine: Sync {
     /// Stable name for harness output.
     fn engine_name(&self) -> &'static str;
 
-    /// Whether tables for this engine should be built in level-major order
-    /// (`DpProblem::build_level_major_table_in`).
-    fn level_major(&self) -> bool {
-        false
-    }
-
     /// Fills `table` (fresh from a builder, all entries unwritten except
     /// whatever the builder put there) for `space`, accounting counters to
     /// `scratch`.
     fn sweep<S: StateSpace>(&self, table: &mut DpTable, space: &S, scratch: &mut DpScratch);
 
-    /// Builds `problem`'s empty table in this engine's storage order, with
-    /// storage from (and accounted to) `scratch`.
+    /// Builds `problem`'s empty table, with storage from (and accounted
+    /// to) `scratch`.
     fn table_for(&self, problem: &DpProblem, scratch: &mut DpScratch) -> Result<DpTable> {
-        if self.level_major() {
-            problem.build_level_major_table_in(scratch)
-        } else {
-            problem.build_table_in(scratch)
-        }
+        problem.build_table_in(scratch)
     }
 
     /// Computes `OPT(N)` and, if feasible, a witness schedule for a
@@ -337,7 +326,7 @@ mod tests {
         let configs = problem.configs_with_offsets(&table);
         serial_sweep(&mut table, &PcmaxSpace::new(&configs));
         assert_eq!(
-            table.values_row_major(),
+            table.values,
             vec![0, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 2],
             "Table I of the paper"
         );

@@ -1,11 +1,10 @@
-//! Property tests for the level-major memory layout: the permutation built
-//! by `DpTable::build_level_layout` must be a bijection on `0..σ` whose
-//! level buckets partition the table by digit sum, with row-major rank
-//! order preserved inside every bucket — the invariants the parallel
-//! scatter's disjoint-write argument rests on.
+//! Property tests for the row-major table layout the tiled wavefront sweep
+//! relies on: every transition is a fixed rank offset (so a strip of
+//! consecutive cells reads a strip of consecutive predecessors), the level
+//! buckets partition the table by digit sum with row-major order preserved
+//! inside each bucket, and `value_at` reads by row-major rank.
 
-use pcmax_ptas::dp::DpProblem;
-use pcmax_ptas::table::DpScratch;
+use pcmax_ptas::dp::{fits, DpProblem};
 use proptest::prelude::*;
 
 /// Digit sum of a row-major rank under the table's mixed radix.
@@ -26,51 +25,35 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn level_layout_is_a_bijection_partitioned_by_level(counts in arb_counts()) {
-        let problem = DpProblem::new(counts, 1, 1_000, 64);
-        let mut scratch = DpScratch::new();
-        let table = problem
-            .build_level_major_table_in(&mut scratch)
-            .expect("small tables always fit the guard");
-        let layout = table.layout.as_ref().expect("level-major build sets layout");
-        let sigma = table.len;
-
-        // Bijection: inv ∘ perm and perm ∘ inv are both the identity, so in
-        // particular every storage position is hit by exactly one rank.
-        prop_assert_eq!(layout.perm().len(), sigma);
-        prop_assert_eq!(layout.inv().len(), sigma);
-        for rank in 0..sigma {
-            let pos = layout.perm()[rank] as usize;
-            prop_assert!(pos < sigma);
-            prop_assert_eq!(layout.inv()[pos] as usize, rank);
-        }
-        for pos in 0..sigma {
-            let rank = layout.inv()[pos] as usize;
-            prop_assert_eq!(layout.perm()[rank] as usize, pos);
-        }
-
-        // The starts array is a monotone partition of 0..σ and every bucket
-        // holds exactly the ranks of its digit sum.
-        let max_level: u32 = table.dims.iter().map(|&d| d - 1).sum();
-        let starts = layout.starts();
-        prop_assert_eq!(starts.len() as u32, max_level + 2);
-        prop_assert_eq!(starts[0], 0);
-        prop_assert_eq!(*starts.last().unwrap() as usize, sigma);
-        for level in 0..=max_level {
-            let span = layout.level_span(level);
-            prop_assert!(span.start <= span.end);
-            let bucket = &layout.inv()[span];
-            for &rank in bucket {
-                prop_assert_eq!(
-                    level_of(rank as usize, &table.strides),
-                    level,
-                    "rank {} landed in the wrong bucket",
-                    rank
-                );
+    fn every_transition_is_one_fixed_rank_offset(counts in arb_counts(), target in 1u64..=12) {
+        let problem = DpProblem::new(counts, 1, target, 64);
+        let table = problem.build_table().expect("small tables always fit the guard");
+        for (c, offset) in problem.configs_with_offsets(&table) {
+            prop_assert!(offset > 0, "config {:?} must move to an earlier rank", c);
+            for rank in 0..table.len {
+                let v = table.decode(rank);
+                if !fits(&c, &v) {
+                    continue;
+                }
+                let below: Vec<u32> = v.iter().zip(&c).map(|(&x, &y)| x - y).collect();
+                prop_assert_eq!(table.index(&below), rank - offset);
+                prop_assert!(level_of(rank - offset, &table.strides) < level_of(rank, &table.strides));
             }
-            // Inside a bucket, ascending position must mean ascending
-            // row-major rank — the order the cell kernel's incremental
-            // decode walks.
+        }
+    }
+
+    #[test]
+    fn level_buckets_partition_the_table_by_digit_sum(counts in arb_counts()) {
+        let problem = DpProblem::new(counts, 1, 1_000, 64);
+        let table = problem.build_table().expect("small tables always fit the guard");
+        let buckets = table.level_buckets();
+        let max_level: u32 = table.dims.iter().map(|&d| d - 1).sum();
+        prop_assert_eq!(buckets.len() as u32, max_level + 1);
+        prop_assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), table.len);
+        for (level, bucket) in buckets.iter().enumerate() {
+            for &rank in bucket {
+                prop_assert_eq!(level_of(rank as usize, &table.strides), level as u32);
+            }
             prop_assert!(
                 bucket.windows(2).all(|w| w[0] < w[1]),
                 "bucket for level {} is not rank-sorted",
@@ -80,23 +63,15 @@ proptest! {
     }
 
     #[test]
-    fn value_at_round_trips_through_the_permutation(counts in arb_counts()) {
+    fn value_at_reads_by_row_major_rank(counts in arb_counts()) {
         let problem = DpProblem::new(counts, 1, 1_000, 64);
-        let mut scratch = DpScratch::new();
-        let mut table = problem
-            .build_level_major_table_in(&mut scratch)
-            .expect("small tables always fit the guard");
-        // Stamp each cell with its own rank (mod the u16 range) through the
-        // translating writer, then read both ways.
+        let mut table = problem.build_table().expect("small tables always fit the guard");
         for rank in 0..table.len {
-            let pos = table.position_of(rank);
-            table.values[pos] = (rank % 60_000) as u16;
+            table.values[rank] = (rank % 60_000) as u16;
         }
-        let row_major = table.values_row_major();
-        prop_assert_eq!(row_major.len(), table.len);
-        for (rank, &value) in row_major.iter().enumerate() {
+        for rank in 0..table.len {
             prop_assert_eq!(table.value_at(rank), (rank % 60_000) as u16);
-            prop_assert_eq!(value, (rank % 60_000) as u16);
+            prop_assert_eq!(table.index(&table.decode(rank)), rank);
         }
     }
 }
